@@ -215,8 +215,9 @@ func (r *recorder) ok() bool {
 
 // exec runs one op on c. Latency runs from due (the op's scheduled send
 // time in an open loop, the send time in a closed one) to the last byte of
-// the response. A wrong status or a failed body check counts as a failure.
-func (r *recorder) exec(c *conn, o *op, due time.Time) error {
+// the response; exec returns it. A wrong status or a failed body check
+// counts as a failure.
+func (r *recorder) exec(c *conn, o *op, due time.Time) (time.Duration, error) {
 	code, body, err := c.do(o.method, o.path, o.body, o.admin)
 	done := time.Now()
 	lat := done.Sub(due)
@@ -232,7 +233,7 @@ func (r *recorder) exec(c *conn, o *op, due time.Time) error {
 	r.mu.Unlock()
 	if err != nil {
 		r.fail(err)
-		return err
+		return lat, err
 	}
 	r.mu.Lock()
 	switch {
@@ -249,7 +250,7 @@ func (r *recorder) exec(c *conn, o *op, due time.Time) error {
 	if acked != nil && o.kind.write() {
 		acked(o, done)
 	}
-	return nil
+	return lat, nil
 }
 
 // lagProber measures replica lag by sampling: when an acknowledged write

@@ -605,6 +605,26 @@ func merged(stats map[string]*layerStats, prefixes ...string) *layerStats {
 	return out
 }
 
+// httpSelfTimes pairs each measured op's HTTP latency with the Store spans
+// the replay recorded for that same op and returns the differences: the
+// time the op spent outside the Store. Integrations are left out, and so
+// are ops with no Store call (workspace create and delete).
+func httpSelfTimes(spans []span, ops []*op, opLat map[int]float64) samples {
+	store := map[int]float64{}
+	for _, s := range spans {
+		if s.Parent < 0 && strings.HasPrefix(s.Name, "server.Store.") {
+			store[s.Op] += float64(s.End-s.Start) / 1e3
+		}
+	}
+	var out samples
+	for k, lat := range opLat {
+		if sp, ok := store[k]; ok && ops[k].kind != opIntegrate {
+			out = append(out, lat-sp)
+		}
+	}
+	return out
+}
+
 // traced finishes a --trace 1 run: the measured HTTP phase is done; replay
 // its op stream untraced and traced, write the spans, and report every
 // per-layer metric.
@@ -646,8 +666,8 @@ func (b *benchRun) traced(before, after, fBefore, fAfter *metricsSnap, written i
 	ops := float64(m.attempted)
 
 	store := merged(st, "server.Store.")
-	httpLat := append(append(samples(nil), m.reads...), m.writes...)
-	rep.add("server.http.self_us_p50", httpLat.median()-store.total.median(), "us", len(httpLat))
+	httpSelf := httpSelfTimes(r.tr.spans, b.replayOps, b.opLat)
+	rep.add("server.http.self_us_p50", httpSelf.median(), "us", len(httpSelf))
 	rep.add("server.http.resp_bytes_per_op", ratio(float64(m.respBytes), ops), "bytes", m.attempted)
 	rejected := (after.Admission.Auth + after.Admission.Rate + after.Admission.Quota + after.Admission.Body) -
 		(before.Admission.Auth + before.Admission.Rate + before.Admission.Quota + before.Admission.Body)

@@ -38,7 +38,7 @@ var fullScale = scale{
 	tenants: 8, tenantObjects: 8, tenantRate: 1000,
 	designObjects: 40, designPairs: 48,
 	fedWorkspaces: 4, fedObjects: 16, fedRows: 100, fedBatch: 1, fedQueries: 24, fedRate: 1000,
-	setups: 3, recoveries: 9, pollInterval: "20ms",
+	setups: 5, recoveries: 21, pollInterval: "20ms",
 }
 
 var smokeScale = scale{
@@ -145,8 +145,10 @@ func (cl *cluster) catchUp(limit time.Duration) error {
 }
 
 // runSerial runs ops one after another on c (a closed loop of one client),
-// recording the generator's own gap between a reply and the next send.
-func runSerial(rec *recorder, c *conn, ops []*op, after func(o *op) error) error {
+// recording the generator's own gap between a reply and the next send. It
+// returns each op's latency.
+func runSerial(rec *recorder, c *conn, ops []*op) ([]time.Duration, error) {
+	lats := make([]time.Duration, 0, len(ops))
 	var prev time.Time
 	for _, o := range ops {
 		now := time.Now()
@@ -155,29 +157,27 @@ func runSerial(rec *recorder, c *conn, ops []*op, after func(o *op) error) error
 			rec.gaps.add(now.Sub(prev))
 			rec.mu.Unlock()
 		}
-		err := rec.exec(c, o, now)
+		lat, err := rec.exec(c, o, now)
 		prev = time.Now()
 		if err != nil {
-			return err
+			return lats, err
 		}
-		if after != nil {
-			if err := after(o); err != nil {
-				return err
-			}
-		}
+		lats = append(lats, lat)
 	}
-	return nil
+	return lats, nil
 }
 
 // openLoop sends ops[i] at start+i/rate until dur has passed, onto the
 // queue route(i) names; each queue is served by its own connections. It
-// returns how late the generator itself ran behind the schedule and the
-// time from the first due time to the last response.
-func openLoop(rec *recorder, queues [][]*conn, ops []*op, route func(int) int, rate float64, dur time.Duration) (late samples, elapsed time.Duration) {
+// returns how late the generator itself ran behind the schedule, the time
+// from the first due time to the last response, and each op's latency (0
+// for an op not sent or failed).
+func openLoop(rec *recorder, queues [][]*conn, ops []*op, route func(int) int, rate float64, dur time.Duration) (late samples, elapsed time.Duration, lats []time.Duration) {
 	type sched struct {
-		o   *op
+		i   int
 		due time.Time
 	}
+	lats = make([]time.Duration, len(ops)) // each index is written by one worker
 	chans := make([]chan sched, len(queues))
 	done := make(chan struct{})
 	workers := 0
@@ -187,7 +187,10 @@ func openLoop(rec *recorder, queues [][]*conn, ops []*op, route func(int) int, r
 			workers++
 			go func(c *conn, ch chan sched) {
 				for s := range ch {
-					_ = rec.exec(c, s.o, s.due) // failures are counted by exec
+					lat, err := rec.exec(c, ops[s.i], s.due)
+					if err == nil { // failures are counted by exec
+						lats[s.i] = lat
+					}
 				}
 				done <- struct{}{}
 			}(c, chans[qi])
@@ -195,7 +198,7 @@ func openLoop(rec *recorder, queues [][]*conn, ops []*op, route func(int) int, r
 	}
 	start := time.Now()
 	interval := time.Duration(float64(time.Second) / rate)
-	for i, o := range ops {
+	for i := range ops {
 		due := start.Add(time.Duration(i) * interval)
 		if due.Sub(start) >= dur {
 			break
@@ -204,7 +207,7 @@ func openLoop(rec *recorder, queues [][]*conn, ops []*op, route func(int) int, r
 			time.Sleep(d)
 		}
 		late.add(time.Since(due))
-		chans[route(i)] <- sched{o: o, due: due}
+		chans[route(i)] <- sched{i: i, due: due}
 	}
 	for _, ch := range chans {
 		close(ch)
@@ -212,7 +215,7 @@ func openLoop(rec *recorder, queues [][]*conn, ops []*op, route func(int) int, r
 	for ; workers > 0; workers-- {
 		<-done
 	}
-	return late, time.Since(start)
+	return late, time.Since(start), lats
 }
 
 // --- workload state ---
@@ -227,15 +230,49 @@ type wsState struct {
 	checks []*op // read ops whose answers are fixed (re-run after recovery)
 }
 
-// runState is one set-up's product.
+// runState is one set-up: planned in-process before its clock starts, then
+// sent to the cluster.
 type runState struct {
 	cl       *cluster
 	ws       []*wsState
 	sessions samples // wall time of each design session, µs
 	setupRec *recorder
-	ops      []*op // every set-up op, in order (the replay's prefix)
+	ops      []*op // every set-up op, in the order sent (the replay's prefix)
 	fixes    []*pairFix
 	fed      []*fedState
+	// sessionOps holds the design session of each workspace in ws, and
+	// loads the row loads that follow them all.
+	sessionOps [][]*op
+	loads      []*op
+}
+
+// addSession plans a set-up design session on a new workspace.
+func (rs *runState) addSession(ws string, ops []*op) (*wsState, error) {
+	st, err := planSession(ws, ops)
+	if err != nil {
+		return nil, fmt.Errorf("session %s: %w", ws, err)
+	}
+	rs.ws = append(rs.ws, st)
+	rs.sessionOps = append(rs.sessionOps, ops)
+	return st, nil
+}
+
+// send runs the planned set-up on the leader: each design session serially,
+// timed into sessions, then the row loads.
+func (rs *runState) send() error {
+	for i, ops := range rs.sessionOps {
+		d, err := runSession(rs.setupRec, rs.cl.lc, ops)
+		if err != nil {
+			return fmt.Errorf("session %s: %w", rs.ws[i].name, err)
+		}
+		rs.sessions.add(d)
+		rs.ops = append(rs.ops, ops...)
+	}
+	if _, err := runSerial(rs.setupRec, rs.cl.lc, rs.loads); err != nil {
+		return fmt.Errorf("rows: %w", err)
+	}
+	rs.ops = append(rs.ops, rs.loads...)
+	return nil
 }
 
 type fedState struct {
@@ -248,17 +285,29 @@ type fedState struct {
 	initialRow int
 }
 
-// runSession runs one design session serially and applies it to a fresh model.
-func runSession(rec *recorder, c *conn, ops []*op, ws string) (*wsState, time.Duration, error) {
+// planSession builds the state of a session's workspace by applying its ops
+// to a fresh model in-process. It runs before any of the ops is sent, so
+// the oracle's work (parsing, closure, registry) stays out of every timed
+// window.
+func planSession(ws string, ops []*op) (*wsState, error) {
 	st := &wsState{name: ws, model: newModel()}
-	t0 := time.Now()
-	err := runSerial(rec, c, ops, func(o *op) error {
+	for _, o := range ops {
 		if o.kind == opSave {
 			st.saved = append(st.saved, o.integration)
 		}
-		return st.model.apply(o)
-	})
-	return st, time.Since(t0), err
+		if err := st.model.apply(o); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// runSession sends one planned design session serially and returns its wall
+// time.
+func runSession(rec *recorder, c *conn, ops []*op) (time.Duration, error) {
+	t0 := time.Now()
+	_, err := runSerial(rec, c, ops)
+	return time.Since(t0), err
 }
 
 // verifyOps are the reads that must answer identically from the model after
@@ -296,48 +345,6 @@ func (st *wsState) verifyOps() []*op {
 	return append(ops, st.checks...)
 }
 
-// measureCapacity runs the tenant-mix stream closed-loop, two connections
-// each sending its next request when the last returns, and prints the
-// completed ops per second: the figure tenant-mix's offered rate is set
-// from.
-func measureCapacity(o options) error {
-	o.workload = "tenant-mix"
-	o.sc.setups = 1
-	o.sc.tenantRate = 1e6 // rate limits scale with it: nothing is refused
-	root, err := filepath.Abs(filepath.Join(o.root, fmt.Sprintf("capacity-%d", os.Getpid())))
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
-	b := &benchRun{o: o, root: root, rep: &report{out: os.Stdout, metrics: map[string]metric{}}}
-	rs, _, err := b.setupOnce(0)
-	if err != nil {
-		return err
-	}
-	defer rs.cl.stop()
-	ops := tenantOps(rs, 5*len(rs.ws)*64)
-	rec := &recorder{}
-	dur := time.Duration(o.seconds) * time.Second
-	start := time.Now()
-	done := make(chan struct{})
-	for k := 0; k < 2; k++ {
-		go func(k int) {
-			c := newConn(rs.cl.leader.url(), true)
-			defer c.close()
-			for i := k; time.Since(start) < dur; i += 2 {
-				_ = rec.exec(c, ops[i%len(ops)], time.Now()) // failures are counted by exec
-			}
-			done <- struct{}{}
-		}(k)
-	}
-	<-done
-	<-done
-	fmt.Printf("tenant-mix closed-loop capacity: %.0f ops/s (%d ops, %d failed, read p50 %.3f ms, write p50 %.3f ms)\n",
-		float64(rec.attempted)/time.Since(start).Seconds(), rec.attempted, rec.failed,
-		rec.reads.median()/1e3, rec.writes.median()/1e3)
-	return nil
-}
-
 // --- tenant-mix ---
 
 func tenantPair(sc scale, seed int64, i int) workload.Config {
@@ -353,21 +360,17 @@ func tenantLimits(sc scale) []string {
 	return []string{"-max-schemas", "8", "-max-jobs", "32", "-ws-rate", strconv.FormatFloat(4*perWS, 'f', 1, 64)}
 }
 
-func setupTenants(sc scale, seed int64, cl *cluster, fixes []*pairFix) (*runState, error) {
-	rs := &runState{cl: cl, setupRec: &recorder{}, fixes: fixes}
+func planTenants(seed int64, fixes []*pairFix) (*runState, error) {
+	rs := &runState{setupRec: &recorder{}, fixes: fixes}
 	for i, f := range fixes {
 		ws := fmt.Sprintf("t%02d", i)
 		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(seed+int64(i))), sessionOpts{save: "fed", query: true})
 		if err != nil {
 			return nil, err
 		}
-		st, d, err := runSession(rs.setupRec, cl.lc, ops, ws)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", ws, err)
+		if _, err := rs.addSession(ws, ops); err != nil {
+			return nil, err
 		}
-		rs.ops = append(rs.ops, ops...)
-		rs.sessions.add(d)
-		rs.ws = append(rs.ws, st)
 	}
 	return rs, nil
 }
@@ -440,25 +443,22 @@ func fedPair(sc scale, seed int64, i int) workload.Config {
 		Overlap: 0.5, Relationships: 4, NamingNoise: 0.2}
 }
 
-// setupFed builds each federation workspace: a design session that saves
-// the integration "fed", then initial rows into every entity set of both
+// planFed plans each federation workspace: a design session that saves the
+// integration "fed", then initial rows into every entity set of both
 // components and of the integrated schema, mirrored into oracle stores
 // that answer every query up front.
-func setupFed(sc scale, seed int64, cl *cluster, fixes []*pairFix) (*runState, error) {
-	rs := &runState{cl: cl, setupRec: &recorder{}, fixes: fixes}
+func planFed(sc scale, seed int64, fixes []*pairFix) (*runState, error) {
+	rs := &runState{setupRec: &recorder{}, fixes: fixes}
 	for i, f := range fixes {
 		ws := fmt.Sprintf("f%d", i)
 		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(seed+int64(i))), sessionOpts{reads: true, save: "fed"})
 		if err != nil {
 			return nil, err
 		}
-		st, d, err := runSession(rs.setupRec, cl.lc, ops, ws)
+		st, err := rs.addSession(ws, ops)
 		if err != nil {
-			return nil, fmt.Errorf("federation %s: %w", ws, err)
+			return nil, err
 		}
-		rs.ops = append(rs.ops, ops...)
-		rs.sessions.add(d)
-		rs.ws = append(rs.ws, st)
 
 		fs := &fedState{ws: st, nextKey: map[string]int{}, rng: rand.New(rand.NewSource(seed*7 + int64(i)))}
 		stores := map[string]*instance.Store{}
@@ -470,7 +470,6 @@ func setupFed(sc scale, seed int64, cl *cluster, fixes []*pairFix) (*runState, e
 			stores[s.Name] = is
 			fs.structs = append(fs.structs, rowStructures(s)...)
 		}
-		var loads []*op
 		for _, sr := range fs.structs {
 			rows := makeRows(fs.rng, sr, initialBase, sc.fedRows, initialBase, initialSpan)
 			if err := stores[sr.schema].InsertAll(sr.structure, rows); err != nil {
@@ -478,12 +477,8 @@ func setupFed(sc scale, seed int64, cl *cluster, fixes []*pairFix) (*runState, e
 			}
 			fs.nextKey[sr.schema+"/"+sr.structure] = loadedBase
 			fs.initialRow += len(rows)
-			loads = append(loads, rowsOp(ws, sr, rows))
+			rs.loads = append(rs.loads, rowsOp(ws, sr, rows))
 		}
-		if err := runSerial(rs.setupRec, cl.lc, loads, nil); err != nil {
-			return nil, fmt.Errorf("federation %s rows: %w", ws, err)
-		}
-		rs.ops = append(rs.ops, loads...)
 		fed, err := instance.NewFederation(f.oracle.Schema, f.oracle.Mappings, map[string]*instance.Store{
 			f.w.S1.Name: stores[f.w.S1.Name], f.w.S2.Name: stores[f.w.S2.Name]})
 		if err != nil {
