@@ -98,17 +98,18 @@ func (r *report) add(name string, value float64, unit string, n int) {
 	fmt.Fprintf(r.out, "%-44s %14.4f %-6s (n=%d)\n", name, value, unit, n)
 }
 
-// addTiming reports the median and the 90th percentile of µs samples in ms,
-// and prints the 99th percentile with its support. The p99 is not a metric:
-// on the shared two-core sandbox the benchmark was built on, a few stalls
-// from outside the program decided each run's p99, which spread 0.3 to 0.9
-// of its median between runs. The p90 is the median of the p90s of ten
-// consecutive slices of the run, so contention that covers part of a run
-// moves a slice or two, not the figure.
+// addTiming reports the median of µs samples in ms, and prints the 90th and
+// 99th percentiles with their support. Neither tail is a metric: on the
+// shared two-core sandbox the benchmark was built on, stalls from outside
+// the program decided them. Each run's p99 spread 0.3 to 0.9 of its median
+// between runs; the p90, taken as the median of the p90s of ten consecutive
+// slices of the run, stayed within 0.1 for minutes and then doubled for a
+// few runs in a row while the medians held. The printed p90 is that sliced
+// one.
 func (r *report) addTiming(prefix string, s samples) {
 	r.add(prefix+"_p50_ms", s.median()/1e3, "ms", len(s))
-	r.add(prefix+"_p90_ms", s.slicedQuantile(0.9, 10)/1e3, "ms", len(s))
-	fmt.Fprintf(r.out, "  %s p99 %.4f ms (%d samples beyond it)\n", prefix, s.quantile(0.99)/1e3, len(s)/100)
+	fmt.Fprintf(r.out, "  %s p90 %.4f ms (%d samples beyond it), p99 %.4f ms (%d beyond it)\n",
+		prefix, s.slicedQuantile(0.9, 10)/1e3, len(s)/10, s.quantile(0.99)/1e3, len(s)/100)
 }
 
 func runBench(o options, out *os.File) (*result, error) {
@@ -426,7 +427,7 @@ func (b *benchRun) run() error {
 		return b.traced(before, after, fBefore, fAfter, written)
 	}
 
-	if b.o.workload == "tenant-mix" {
+	if b.o.workload != "design-session" {
 		if err := b.lateSessions(); err != nil {
 			return err
 		}
@@ -581,33 +582,50 @@ func (b *benchRun) designLoop(rec *recorder, prober *lagProber, dur time.Duratio
 	return nil
 }
 
-// lateSessions runs tenant-mix's set-up sessions once more on fresh
-// workspaces and pairs after the measured phase. Its sessions are small and
-// otherwise all fall in the run's first second, so session_s and
-// integrate_p50_ms would follow whatever the host did in that second.
+// lateSessions runs the set-up's kind of design session again after the
+// measured phase (tenant-mix and federated-query), lateRounds times over
+// fresh workspaces and pairs, deleting each workspace after its session so
+// that recovery and the leader's memory are those of the measured state.
+// The set-ups' own sessions are few and all fall in the seconds before the
+// measured phase, so session_s and integrate_p50_ms would follow whatever
+// the host did then; and a session's cost varies with its pair. The rounds
+// are spread over lateWindow because the host's speed switches between
+// modes for tens of seconds at a time.
 func (b *benchRun) lateSessions() error {
-	fixes, err := b.fixtures(b.o.sc.setups)
-	if err != nil {
-		return err
-	}
 	rec := &recorder{}
 	b.recs = append(b.recs, rec)
-	for i, f := range fixes {
-		ws := fmt.Sprintf("late%02d", i)
-		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(b.o.seed+int64(i))), sessionOpts{save: "fed", query: true})
+	n := 0
+	start := time.Now()
+	for r := 0; r < b.o.sc.lateRounds; r++ {
+		fixes, err := b.fixtures(b.o.sc.setups + r)
 		if err != nil {
 			return err
 		}
-		st, err := planSession(ws, ops)
-		if err != nil {
-			return fmt.Errorf("late session %s: %w", ws, err)
+		// Rounds start evenly spread over lateWindow.
+		if d := time.Until(start.Add(b.o.sc.lateWindow * time.Duration(r) / time.Duration(b.o.sc.lateRounds))); d > 0 {
+			time.Sleep(d)
 		}
-		d, err := runSession(rec, b.rs.cl.lc, ops)
-		if err != nil {
-			return fmt.Errorf("late session %s: %w", ws, err)
+		for _, f := range fixes {
+			ws := fmt.Sprintf("late%03d", n)
+			ops, err := f.sessionOps(ws, rand.New(rand.NewSource(b.o.seed+int64(n))), setupOpts(b.o.workload))
+			if err != nil {
+				return err
+			}
+			// Planning checks that every assertion closes without conflict.
+			if _, err := planSession(ws, ops); err != nil {
+				return fmt.Errorf("late session %s: %w", ws, err)
+			}
+			d, err := runSession(rec, b.rs.cl.lc, ops)
+			if err != nil {
+				return fmt.Errorf("late session %s: %w", ws, err)
+			}
+			b.sessions.add(d)
+			del := &op{kind: opDeleteWS, ws: ws, method: "DELETE", path: "/v1/workspaces/" + ws, admin: true, want: 200}
+			if _, err := rec.exec(b.rs.cl.lc, del, time.Now()); err != nil {
+				return err
+			}
+			n++
 		}
-		b.sessions.add(d)
-		b.rs.ws = append(b.rs.ws, st)
 	}
 	b.integrates = append(b.integrates, rec.integrates...)
 	return nil
@@ -655,7 +673,13 @@ func (b *benchRun) recover() (samples, error) {
 		checks = append(checks, st.verifyOps()...)
 	}
 	var times samples
+	start := time.Now()
 	for i := 0; i < b.o.sc.recoveries; i++ {
+		// Cycles start evenly spread over recoveryWindow, for the reason
+		// late sessions are spread: the host's speed switches between modes.
+		if d := time.Until(start.Add(b.o.sc.recoveryWindow * time.Duration(i) / time.Duration(b.o.sc.recoveries))); d > 0 {
+			time.Sleep(d)
+		}
 		cl.leader.kill()
 		t0 := time.Now()
 		if err := cl.leader.start(); err != nil {

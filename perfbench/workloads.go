@@ -18,34 +18,47 @@ import (
 // scale sizes the workloads. fullScale is the benchmark; smokeScale keeps
 // every check at a size the smoke test runs in seconds.
 type scale struct {
-	tenants       int
-	tenantObjects int
-	tenantRate    float64 // offered ops/s, both connections together
-	designObjects int
-	designPairs   int // distinct pairs a design-session run cycles through
-	fedWorkspaces int
-	fedObjects    int
-	fedRows       int // initial rows per structure
-	fedBatch      int // rows per POST /rows in the run
-	fedQueries    int // distinct queries per workspace
-	fedRate       float64
-	setups        int // set-ups per run; setup_s is their median
-	recoveries    int // kill-restart cycles per run; recovery_s is their median
-	pollInterval  string
+	tenants        int
+	tenantObjects  int
+	tenantRate     float64 // offered ops/s, both connections together
+	designObjects  int
+	designPairs    int // distinct pairs a design-session run cycles through
+	fedWorkspaces  int
+	fedObjects     int
+	fedRows        int // initial rows per structure
+	fedBatch       int // rows per POST /rows in the run
+	fedQueries     int // distinct queries per workspace
+	fedRate        float64
+	setups         int           // set-ups per run; setup_s is their median
+	lateRounds     int           // rounds of set-up sessions rerun after the measured phase
+	lateWindow     time.Duration // the late rounds start spread over this time
+	recoveries     int           // kill-restart cycles per run; recovery_s is their median
+	recoveryWindow time.Duration // the recovery cycles start spread over this time
+	pollInterval   string
 }
 
 var fullScale = scale{
 	tenants: 8, tenantObjects: 8, tenantRate: 1000,
 	designObjects: 40, designPairs: 48,
 	fedWorkspaces: 4, fedObjects: 16, fedRows: 100, fedBatch: 1, fedQueries: 24, fedRate: 1000,
-	setups: 5, recoveries: 21, pollInterval: "20ms",
+	setups: 5, lateRounds: 20, lateWindow: 10 * time.Second,
+	recoveries: 21, recoveryWindow: 6 * time.Second, pollInterval: "20ms",
 }
 
 var smokeScale = scale{
 	tenants: 2, tenantObjects: 6, tenantRate: 100,
 	designObjects: 10, designPairs: 4,
 	fedWorkspaces: 1, fedObjects: 8, fedRows: 10, fedBatch: 2, fedQueries: 4, fedRate: 60,
-	setups: 1, recoveries: 1, pollInterval: "20ms",
+	setups: 1, lateRounds: 1, recoveries: 1, pollInterval: "20ms",
+}
+
+// setupOpts shapes the design sessions tenant-mix and federated-query run
+// at set-up and again after the measured phase.
+func setupOpts(workload string) sessionOpts {
+	if workload == "federated-query" {
+		return sessionOpts{reads: true, save: "fed"}
+	}
+	return sessionOpts{save: "fed", query: true}
 }
 
 // cluster is one leader plus its follower, both child sit-server
@@ -364,7 +377,7 @@ func planTenants(seed int64, fixes []*pairFix) (*runState, error) {
 	rs := &runState{setupRec: &recorder{}, fixes: fixes}
 	for i, f := range fixes {
 		ws := fmt.Sprintf("t%02d", i)
-		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(seed+int64(i))), sessionOpts{save: "fed", query: true})
+		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(seed+int64(i))), setupOpts("tenant-mix"))
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +464,7 @@ func planFed(sc scale, seed int64, fixes []*pairFix) (*runState, error) {
 	rs := &runState{setupRec: &recorder{}, fixes: fixes}
 	for i, f := range fixes {
 		ws := fmt.Sprintf("f%d", i)
-		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(seed+int64(i))), sessionOpts{reads: true, save: "fed"})
+		ops, err := f.sessionOps(ws, rand.New(rand.NewSource(seed+int64(i))), setupOpts("federated-query"))
 		if err != nil {
 			return nil, err
 		}
