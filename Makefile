@@ -28,7 +28,7 @@ vet:
 
 # sit-vet runs the project-specific analyzers (lock discipline, error
 # classification, journal ordering, metric cardinality, I/O under locks,
-# lock-order deadlock detection, durability completeness, hot-path
+# lock-order deadlock detection, hot-path
 # allocations, directive hygiene) twice: once through the go vet driver
 # (rides go's build cache) and once in standalone module mode, which also
 # analyzes _test.go files — go vet never hands test variants to a vettool.

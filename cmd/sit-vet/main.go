@@ -1,7 +1,6 @@
 // Command sit-vet is the repo's static-analysis vettool: it runs the
 // internal/analysis suite — lockguard, errtype, journalorder, metriclabel,
-// lockio, admission, directive, hotalloc, lockorder, statecapture — in two
-// modes:
+// lockio, admission, directive, hotalloc, lockorder — in two modes:
 //
 //	go build -o bin/sit-vet ./cmd/sit-vet
 //	go vet -vettool=bin/sit-vet ./...   # unit mode: go vet drives it
@@ -34,7 +33,6 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/metriclabel"
 	"repro/internal/analysis/modrun"
-	"repro/internal/analysis/statecapture"
 	"repro/internal/analysis/unit"
 )
 
@@ -99,15 +97,6 @@ var admissionCfg = admission.Config{
 	},
 }
 
-// statecaptureCfg anchors durability-completeness checking in the server
-// package, where the op* journal constants live: every op must have a
-// journal write site, a //sit:replay case, //sit:captures coverage on the
-// snapshot path and //sit:bootstrap coverage on the follower seed path.
-var statecaptureCfg = statecapture.Config{
-	Package:  "repro/internal/server",
-	OpPrefix: "op",
-}
-
 // analyzers is the full suite, in both drivers.
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -120,7 +109,6 @@ func analyzers() []*analysis.Analyzer {
 		directive.New(),
 		hotalloc.New(),
 		lockorder.New(),
-		statecapture.New(statecaptureCfg),
 	}
 }
 

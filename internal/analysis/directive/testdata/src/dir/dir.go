@@ -28,3 +28,13 @@ func replay() {} // want "//sit:replay on replay has 1 argument, want exactly 0"
 //
 //sit:hotpath
 func hotOK() {}
+
+// captures carries a snapshot-coverage list no analyzer reads any more.
+//
+//sit:captures opX
+func captures() {} // want "unknown directive //sit:captures on captures: no analyzer consumes it"
+
+// bootstrap carries a follower-seed list no analyzer reads any more.
+//
+//sit:bootstrap opX
+func bootstrap() {} // want "unknown directive //sit:bootstrap on bootstrap: no analyzer consumes it"

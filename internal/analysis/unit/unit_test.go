@@ -18,9 +18,9 @@ func TestFactsFileRoundTrip(t *testing.T) {
 		Data: []byte(`{"locks":["repro/internal/server.state.mu"]}`),
 	})
 	fs.Add(analysis.FactRecord{
-		Analyzer: "statecapture", Kind: analysis.PackageFactKind,
-		Key: "repro/internal/server", Type: "coverageFact",
-		Data: []byte(`{"ops":{"add_schemas":7}}`),
+		Analyzer: "lockorder", Kind: analysis.PackageFactKind,
+		Key: "repro/internal/server", Type: "graphFact",
+		Data: []byte(`{"edges":[{"from":"repro/internal/server.replicaState.mu","to":"repro/internal/server.Store.mu","witness":["ApplyFrame"]}]}`),
 	})
 
 	path := filepath.Join(t.TempDir(), "pkg.vetx")

@@ -68,8 +68,10 @@ type keyAuth struct {
 // reload, which is the honest behavior for a changed key file.
 type keySet struct {
 	byHash map[string]*keyAuth
-	// wire is the canonical replicated form, preserving file order.
-	wire []apiKeyEntry
+	// wire is the canonical replicated form, preserving file order; canon
+	// is its journaled encoding, the journalKeys dedupe key.
+	wire  []apiKeyEntry
+	canon string
 }
 
 // buildKeySet compiles wire entries into a lookup table, attaching per-key
@@ -108,6 +110,11 @@ func buildKeySet(entries []apiKeyEntry, limits Limits) (*keySet, error) {
 		}
 		ks.byHash[e.Hash] = k
 	}
+	canon, err := json.Marshal(setKeysRec{Keys: entries})
+	if err != nil {
+		return nil, err
+	}
+	ks.canon = string(canon)
 	return ks, nil
 }
 
@@ -284,16 +291,12 @@ func (s *Server) journalKeys(ks *keySet) {
 	if err != nil || ws.persist == nil {
 		return
 	}
-	wire, err := json.Marshal(setKeysRec{Keys: ks.wire})
-	if err != nil {
-		return
-	}
 	s.keyMu.Lock()
-	if s.keysJournaled == string(wire) {
+	if s.keysJournaled == ks.canon {
 		s.keyMu.Unlock()
 		return
 	}
-	s.keysJournaled = string(wire)
+	s.keysJournaled = ks.canon
 	s.keyEntries = ks.wire
 	s.keyMu.Unlock()
 	if _, err := ws.persist.j.Append(opSetKeys, setKeysRec{Keys: ks.wire}); err != nil && s.log != nil {
@@ -301,9 +304,9 @@ func (s *Server) journalKeys(ks *keySet) {
 	}
 }
 
-// applyJournaledKeys installs a key set that arrived through the journal:
-// recovery replay, a follower's replication stream, or a snapshot
-// bootstrap. Entries are already hashes; nothing is re-journaled.
+// applyJournaledKeys installs a key set that arrived in a journal record:
+// recovery replay or a follower's replication stream. Entries are already
+// hashes; nothing is re-journaled.
 //
 //sit:replay
 func (s *Server) applyJournaledKeys(entries []apiKeyEntry) error {
@@ -311,16 +314,18 @@ func (s *Server) applyJournaledKeys(entries []apiKeyEntry) error {
 	if err != nil {
 		return fmt.Errorf("journaled key set: %w", err)
 	}
-	wire, err := json.Marshal(setKeysRec{Keys: entries})
-	if err != nil {
-		return err
-	}
+	s.installKeys(ks)
+	return nil
+}
+
+// installKeys makes a journaled key set (replayed, replicated, or restored
+// from a snapshot) the replicated set in force.
+func (s *Server) installKeys(ks *keySet) {
 	s.replKeys.Store(ks)
 	s.keyMu.Lock()
-	s.keysJournaled = string(wire)
-	s.keyEntries = entries
+	s.keysJournaled = ks.canon
+	s.keyEntries = ks.wire
 	s.keyMu.Unlock()
-	return nil
 }
 
 // snapshotKeys returns the journaled key entries for inclusion in the

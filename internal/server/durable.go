@@ -16,7 +16,6 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/instance"
 	"repro/internal/journal"
-	"repro/internal/session"
 )
 
 // The journaled operations. Store mutations are written ahead of being
@@ -367,44 +366,40 @@ func scanWorkspaceDirs(dir string) ([]string, error) {
 	return names, nil
 }
 
-// decodedState is a snapshot body decoded for recovery or replica
-// bootstrap: the workspace, the job table (indexed by ID), the snapshot's
-// API-key set (default workspace only; nil elsewhere), and the federation
-// state (saved integrations plus the row-batch log).
-type decodedState struct {
-	ws           *session.Workspace
-	jobs         []Job
-	byID         map[string]int
-	nextJobID    int
-	keys         []apiKeyEntry
-	integrations []saveIntegrationRec
-	rows         []loadRowsRec
+// restoredState is a snapshot rebuilt off to the side: a private store
+// holding the workspace and its federation state, the job table, and — for
+// the default workspace — the key set. Nothing live changes until the
+// caller installs it, so a snapshot that cannot be rebuilt leaves the
+// workspace exactly as it was.
+type restoredState struct {
+	store *Store
+	jobs  *jobTable
+	keys  *keySet // nil unless the default workspace's snapshot carries keys
 }
 
-// decodePersistedState rebuilds a workspace and job table from a snapshot
-// body (recovery, and replica bootstrap — the leader's snapshot wire format
-// IS the snapshot file format).
-func decodePersistedState(state []byte) (*decodedState, error) {
-	dec := &decodedState{ws: session.NewWorkspace(), byID: map[string]int{}}
+// restoreState decodes a snapshot body for the named workspace; an empty
+// body restores an empty workspace. The leader's snapshot wire format IS
+// the snapshot file format, so recovery (which builds the workspace around
+// the result) and replica bootstrap (which installs it into the live
+// workspace) share this one path.
+func (s *Server) restoreState(name string, state []byte) (*restoredState, error) {
 	var ps persistedState
-	if err := json.Unmarshal(state, &ps); err != nil {
-		return nil, fmt.Errorf("decode snapshot state: %w", err)
-	}
-	if len(ps.Workspace) > 0 {
-		var err error
-		if dec.ws, err = session.Unmarshal(ps.Workspace); err != nil {
-			return nil, fmt.Errorf("rebuild workspace from snapshot: %w", err)
+	if len(state) > 0 {
+		if err := json.Unmarshal(state, &ps); err != nil {
+			return nil, fmt.Errorf("decode snapshot state: %w", err)
 		}
 	}
-	for _, job := range ps.Jobs {
-		dec.byID[job.ID] = len(dec.jobs)
-		dec.jobs = append(dec.jobs, job)
+	st, err := restoreStore(&ps)
+	if err != nil {
+		return nil, err
 	}
-	dec.nextJobID = ps.NextJobID
-	dec.keys = ps.Keys
-	dec.integrations = ps.Integrations
-	dec.rows = ps.Rows
-	return dec, nil
+	rs := &restoredState{store: st, jobs: newJobTable(ps.Jobs, ps.NextJobID)}
+	if name == DefaultWorkspace && len(ps.Keys) > 0 {
+		if rs.keys, err = buildKeySet(ps.Keys, s.limits); err != nil {
+			return nil, fmt.Errorf("snapshot key set: %w", err)
+		}
+	}
+	return rs, nil
 }
 
 // recoverWorkspace rebuilds one workspace from its subdirectory: snapshot
@@ -422,14 +417,15 @@ func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, e
 	if err != nil {
 		return nil, wr, err
 	}
-
-	dec := &decodedState{ws: session.NewWorkspace(), byID: map[string]int{}}
-	if state, seq, ok := j.Snapshot(); ok {
-		if dec, err = decodePersistedState(state); err != nil {
-			j.Close()
-			return nil, wr, err
-		}
-		wr.SnapshotSeq = seq
+	state, seq, _ := j.Snapshot()
+	rs, err := s.restoreState(name, state)
+	if err != nil {
+		j.Close()
+		return nil, wr, err
+	}
+	wr.SnapshotSeq = seq
+	if rs.keys != nil {
+		s.installKeys(rs.keys)
 	}
 
 	// The key set rides the default workspace's journal only; a keys hook on
@@ -437,47 +433,38 @@ func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, e
 	var keysHook func([]apiKeyEntry) error
 	if name == DefaultWorkspace {
 		keysHook = s.applyJournaledKeys
-		if len(dec.keys) > 0 {
-			if err := s.applyJournaledKeys(dec.keys); err != nil {
-				j.Close()
-				return nil, wr, err
-			}
-		}
-	}
-
-	store := NewStoreFrom(dec.ws)
-	if err := store.restoreFederation(dec.integrations, dec.rows); err != nil {
-		j.Close()
-		return nil, wr, fmt.Errorf("restore federation state: %w", err)
 	}
 	for _, rec := range j.Records() {
-		if err := applyRecord(store, rec, dec.byID, &dec.jobs, &dec.nextJobID, keysHook); err != nil {
+		if err := applyRecord(rs.store, rs.jobs, keysHook, rec); err != nil {
 			j.Close()
 			return nil, wr, fmt.Errorf("replay journal record %d (%s): %w", rec.Seq, rec.Op, err)
 		}
 		wr.ReplayedRecords++
 	}
 	wr.DroppedBytes = j.DroppedBytes()
-	wr.Schemas = len(store.SchemaNames())
-	wr.RecoveredJobs = len(dec.jobs)
+	wr.Schemas = len(rs.store.SchemaNames())
+	wr.RecoveredJobs = len(rs.jobs.jobs)
 
-	ws := s.newWorkspaceFrom(name, store)
+	ws := s.newWorkspaceFrom(name, rs.store)
 	if s.followerAtBuild() {
-		s.armReplica(ws, j, dec.jobs, dec.byID, dec.nextJobID)
+		s.armReplica(ws, j, rs.jobs)
 	} else {
-		wr.RequeuedJobs, wr.InterruptedJobs = s.armJournal(ws, j, dec.jobs, dec.nextJobID)
+		wr.RequeuedJobs, wr.InterruptedJobs = s.armJournal(ws, j, rs.jobs)
 	}
 	return ws, wr, nil
 }
 
-// applyRecord replays one journal record against the store being rebuilt
-// (store journaling is not armed yet, so nothing is re-journaled). keys,
-// when non-nil, receives op_set_keys payloads — wired only for the default
-// workspace, whose journal carries the key set.
+// applyRecord replays one journal record against a store and job table
+// that are not journaling (recovery's rebuilt workspace, or a follower
+// replica applying a frame it has already journaled), so nothing is
+// re-journaled. keys, when non-nil, receives op_set_keys payloads — wired
+// only for the default workspace, whose journal carries the key set.
 //
 //sit:replay
-func applyRecord(store *Store, rec journal.Record, byID map[string]int, jobs *[]Job, nextID *int, keys func([]apiKeyEntry) error) error {
+func applyRecord(store *Store, jobs *jobTable, keys func([]apiKeyEntry) error, rec journal.Record) error {
 	switch rec.Op {
+	case opJobSubmit, opJobStart, opJobFinish:
+		return jobs.apply(rec)
 	case opSetKeys:
 		if keys == nil {
 			return fmt.Errorf("set_keys record outside the default workspace's journal")
@@ -541,12 +528,39 @@ func applyRecord(store *Store, rec journal.Record, byID map[string]int, jobs *[]
 			return err
 		}
 		return store.applyLoadRows(r)
+	}
+	return fmt.Errorf("unknown operation")
+}
+
+// jobTable is a workspace's job table as its journal describes it: every
+// job in submission order, an index by ID, and the highest job number
+// issued. Recovery rebuilds one from a snapshot plus the journal tail, a
+// follower replica keeps one current from the leader's stream, and either
+// way it is what Queue.Restore seeds a writable queue from.
+type jobTable struct {
+	jobs   []Job
+	byID   map[string]int
+	nextID int
+}
+
+func newJobTable(jobs []Job, nextID int) *jobTable {
+	t := &jobTable{jobs: jobs, byID: make(map[string]int, len(jobs)), nextID: nextID}
+	for i, job := range jobs {
+		t.byID[job.ID] = i
+	}
+	return t
+}
+
+// apply replays one job record: a submit adds a queued job, a start or a
+// finish moves the job it names along.
+func (t *jobTable) apply(rec journal.Record) error {
+	switch rec.Op {
 	case opJobSubmit:
 		var r jobSubmitRec
 		if err := json.Unmarshal(rec.Data, &r); err != nil {
 			return err
 		}
-		if _, ok := byID[r.ID]; ok {
+		if _, ok := t.byID[r.ID]; ok {
 			// The snapshot already holds this job: it was submitted while a
 			// compaction ran, after the snapshot's cutoff sequence was read
 			// but before the queue state was captured, so its submit record
@@ -554,36 +568,35 @@ func applyRecord(store *Store, rec journal.Record, byID map[string]int, jobs *[]
 			// fresh; replaying the submit again would duplicate the job.
 			return nil
 		}
-		byID[r.ID] = len(*jobs)
-		*jobs = append(*jobs, Job{ID: r.ID, Request: r.Request, State: JobQueued, Created: r.Created})
-		if n, err := strconv.Atoi(strings.TrimPrefix(r.ID, "job-")); err == nil && n > *nextID {
-			*nextID = n
+		t.byID[r.ID] = len(t.jobs)
+		t.jobs = append(t.jobs, Job{ID: r.ID, Request: r.Request, State: JobQueued, Created: r.Created})
+		if n, err := strconv.Atoi(strings.TrimPrefix(r.ID, "job-")); err == nil && n > t.nextID {
+			t.nextID = n
 		}
-		return nil
 	case opJobStart:
 		var r jobStartRec
 		if err := json.Unmarshal(rec.Data, &r); err != nil {
 			return err
 		}
-		if i, ok := byID[r.ID]; ok {
-			(*jobs)[i].State = JobRunning
-			(*jobs)[i].Started = &r.Started
+		if i, ok := t.byID[r.ID]; ok {
+			t.jobs[i].State = JobRunning
+			t.jobs[i].Started = &r.Started
 		}
-		return nil
 	case opJobFinish:
 		var r jobFinishRec
 		if err := json.Unmarshal(rec.Data, &r); err != nil {
 			return err
 		}
-		if i, ok := byID[r.ID]; ok {
-			(*jobs)[i].State = r.State
-			(*jobs)[i].Error = r.Error
-			(*jobs)[i].Result = r.Result
-			(*jobs)[i].Finished = &r.Finished
+		if i, ok := t.byID[r.ID]; ok {
+			t.jobs[i].State = r.State
+			t.jobs[i].Error = r.Error
+			t.jobs[i].Result = r.Result
+			t.jobs[i].Finished = &r.Finished
 		}
-		return nil
+	default:
+		return fmt.Errorf("%s is not a job operation", rec.Op)
 	}
-	return fmt.Errorf("unknown operation")
+	return nil
 }
 
 // persister owns one workspace's side of its journal: the compaction loop
@@ -626,9 +639,9 @@ func (s *Server) openWorkspaceJournal(ws *Workspace) error {
 		return err
 	}
 	if s.followerAtBuild() {
-		s.armReplica(ws, j, nil, map[string]int{}, 0)
+		s.armReplica(ws, j, newJobTable(nil, 0))
 	} else {
-		s.armJournal(ws, j, nil, 0)
+		s.armJournal(ws, j, newJobTable(nil, 0))
 	}
 	return nil
 }
@@ -637,7 +650,7 @@ func (s *Server) openWorkspaceJournal(ws *Workspace) error {
 // the recovered job table (re-enqueueing still-queued jobs, which may start
 // executing — and journaling — immediately, which is why the hooks are
 // armed first), and starts the compaction loop.
-func (s *Server) armJournal(ws *Workspace, j *journal.Journal, jobs []Job, nextID int) (requeued, interrupted int) {
+func (s *Server) armJournal(ws *Workspace, j *journal.Journal, jobs *jobTable) (requeued, interrupted int) {
 	p := &persister{j: j, every: s.dcfg.SnapshotEvery, stop: make(chan struct{}), done: make(chan struct{})}
 	ws.persist = p
 
@@ -654,7 +667,7 @@ func (s *Server) armJournal(ws *Workspace, j *journal.Journal, jobs []Job, nextI
 			s.log.Error("journal append", "workspace", ws.name, "error", err)
 		}
 	})
-	requeued, interrupted = ws.queue.Restore(jobs, nextID)
+	requeued, interrupted = ws.queue.Restore(jobs)
 	p.started.Store(true)
 	go p.loop(s, ws)
 	return requeued, interrupted
@@ -706,46 +719,36 @@ func (s *Server) compactWorkspace(ws *Workspace) error {
 	return nil
 }
 
-// captureState captures the workspace's full persisted state (schemas +
-// job table, plus — default workspace only — the journaled key set)
-// together with the journal sequence number it reflects — compaction's
-// input, and also what the replication snapshot endpoint ships. On a
-// replica the job table lives in the replica state instead of the queue.
-//
-// The //sit:captures list is this function's durability contract: every
-// journal op whose effect is carried by the captured state. Adding an op
-// without extending persistedState (and this list) fails `make vet`.
-//
-//sit:captures opAddSchemas opRemoveSchema opDeclareEquiv opAssert opRetract
-//sit:captures opJobSubmit opJobStart opJobFinish
-//sit:captures opSaveIntegration opLoadRows opSetKeys
+// captureState encodes the workspace's full persisted state together with
+// the journal sequence number it reflects: compaction's input on leaders
+// and replicas alike, and what the replication snapshot endpoint ships.
+// Only the source of the sequence number and of the job table depends on
+// the role. A leader reads both under the store lock; a replica reads them
+// under the replica lock, which the apply loop holds across each record,
+// so the state is exact for appliedSeq.
 func (s *Server) captureState(ws *Workspace) (state []byte, uptoSeq uint64, err error) {
-	if rep := ws.replica.Load(); rep != nil {
-		return rep.capture(s, ws)
-	}
+	ps := persistedState{Keys: s.snapshotKeys(ws.name)}
 	st := ws.store
-	st.mu.Lock()
-	// Order matters: read the sequence number first, then capture state.
-	// Every record at or below uptoSeq is fully reflected in the captured
-	// state; records landing after the read are preserved by Compact.
-	uptoSeq = ws.persist.j.Seq()
-	wsData, err := session.Marshal(st.ws)
-	if err != nil {
-		st.mu.Unlock()
-		return nil, 0, err
+	if rep := ws.replica.Load(); rep != nil {
+		rep.mu.Lock()
+		defer rep.mu.Unlock()
+		uptoSeq = rep.appliedSeq
+		ps.Jobs, ps.NextJobID = append([]Job(nil), rep.table.jobs...), rep.table.nextID
+		st.mu.Lock()
+	} else {
+		st.mu.Lock()
+		// Order matters: read the sequence number first, then capture state.
+		// Every record at or below uptoSeq is fully reflected in the captured
+		// state; records landing after the read are preserved by Compact.
+		uptoSeq = ws.persist.j.Seq()
+		ps.Jobs, ps.NextJobID = ws.queue.snapshotState()
 	}
-	ints, rows, err := st.federationSnapshotLocked()
-	if err != nil {
-		st.mu.Unlock()
-		return nil, 0, err
-	}
-	jobs, nextID := ws.queue.snapshotState()
+	err = st.captureLocked(&ps)
 	st.mu.Unlock()
-	state, err = json.Marshal(persistedState{
-		Workspace: wsData, Jobs: jobs, NextJobID: nextID, Keys: s.snapshotKeys(ws.name),
-		Integrations: ints, Rows: rows,
-	})
 	if err != nil {
+		return nil, 0, err
+	}
+	if state, err = json.Marshal(ps); err != nil {
 		return nil, 0, err
 	}
 	return state, uptoSeq, nil

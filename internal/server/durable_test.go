@@ -488,22 +488,20 @@ func TestQueueShutdownPersistsQueuedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	var jobs []Job
-	byID := map[string]int{}
-	nextID := 0
+	jobs := newJobTable(nil, 0)
 	st := NewStore()
 	for _, rec := range j2.Records() {
-		if err := applyRecord(st, rec, byID, &jobs, &nextID, nil); err != nil {
+		if err := applyRecord(st, jobs, nil, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(jobs) != 3 {
-		t.Fatalf("replayed %d jobs, want 3", len(jobs))
+	if len(jobs.jobs) != 3 {
+		t.Fatalf("replayed %d jobs, want 3", len(jobs.jobs))
 	}
 
 	q2 := NewQueue(1, 8, 0, okExecutor)
 	defer q2.Shutdown(context.Background())
-	requeued, interrupted := q2.Restore(jobs, nextID)
+	requeued, interrupted := q2.Restore(jobs)
 	if requeued != 2 || interrupted != 1 {
 		t.Fatalf("Restore = (%d requeued, %d interrupted), want (2, 1)", requeued, interrupted)
 	}

@@ -87,7 +87,7 @@ func (st *Store) SaveIntegration(name, schema1, schema2 string) (IntegrationInfo
 	if err := st.journal(opSaveIntegration, rec); err != nil {
 		return IntegrationInfo{}, err
 	}
-	st.integrations[name] = si
+	st.saveIntegrationLocked(si)
 	return si.info(), nil
 }
 
@@ -115,7 +115,46 @@ func (st *Store) applySaveIntegration(rec saveIntegrationRec) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.integrations[rec.Name] = si
+	st.saveIntegrationLocked(si)
+	return nil
+}
+
+// saveIntegrationLocked installs a saved integration, live or replayed.
+// Rows loaded into an integrated schema live in an instance store over the
+// schema that name resolved to at the first load (integratedSchemaLocked).
+// When this save moves that resolution — a re-save, or a name no saved
+// integration materializes any more — the store and its row batches are
+// dropped, as a removed schema's are: a snapshot carries only the final
+// integrations and the surviving batches, so a restored store must be able
+// to replay every batch against the schema the name resolves to now.
+//
+//sit:locked mu
+func (st *Store) saveIntegrationLocked(si *savedIntegration) {
+	names := []string{si.schema.Name}
+	if old := st.integrations[si.name]; old != nil {
+		names = append(names, old.schema.Name)
+	}
+	st.integrations[si.name] = si
+	for _, name := range names {
+		if is := st.instances[name]; is != nil && st.ws.Schema(name) == nil && is.Schema() != st.integratedSchemaLocked(name) {
+			st.pruneFederationLocked(name)
+		}
+	}
+}
+
+// integratedSchemaLocked resolves an integrated schema name to the schema
+// of the first saved integration, in name order, that materializes it.
+// Integrated instance stores are built over exactly this schema (shared,
+// not cloned: saved schemas are never mutated), so a save can tell whether
+// it moved the schema a store's rows were loaded under.
+//
+//sit:rlocked mu
+func (st *Store) integratedSchemaLocked(name string) *ecr.Schema {
+	for _, n := range st.integrationNamesLocked() {
+		if si := st.integrations[n]; si.schema.Name == name {
+			return si.schema
+		}
+	}
 	return nil
 }
 
@@ -216,12 +255,7 @@ func (st *Store) instanceForLocked(schemaName string) (*instance.Store, error) {
 	if s := st.ws.Schema(schemaName); s != nil {
 		schema = s.Clone()
 	} else {
-		for _, si := range st.integrations {
-			if si.schema.Name == schemaName {
-				schema = si.schema.Clone()
-				break
-			}
-		}
+		schema = st.integratedSchemaLocked(schemaName)
 	}
 	if schema == nil {
 		return nil, fmt.Errorf("server: schema %q %w (neither a component schema nor a saved integration's schema)", schemaName, ErrNotFound)
@@ -234,10 +268,11 @@ func (st *Store) instanceForLocked(schemaName string) (*instance.Store, error) {
 	return is, nil
 }
 
-// pruneFederationLocked drops the instance store and row batches of a
-// removed schema, so the remove record prunes the same state on replay that
-// it pruned live. Saved integrations are materialized copies and survive
-// their components.
+// pruneFederationLocked drops the instance store and row batches loaded
+// under a schema name — a removed schema's, or an integrated schema's whose
+// resolution a save moved — so the record prunes the same state on replay
+// that it pruned live. Saved integrations are materialized copies and
+// survive their components.
 //
 //sit:locked mu
 func (st *Store) pruneFederationLocked(name string) {
@@ -361,50 +396,4 @@ func (st *Store) TranslateQuery(integration string, q mapping.Query, direction s
 			direction, DirViewToIntegrated, DirIntegratedToComponents)
 	}
 	return res, nil
-}
-
-// federationSnapshotLocked renders the federation state for a snapshot: the
-// saved integrations re-materialized to their record form, plus the row-
-// batch log (recovery rebuilds the instance stores by replaying it).
-//
-//sit:locked mu
-func (st *Store) federationSnapshotLocked() ([]saveIntegrationRec, []loadRowsRec, error) {
-	var ints []saveIntegrationRec
-	for _, name := range st.integrationNamesLocked() {
-		si := st.integrations[name]
-		schemaJSON, err := ecr.EncodeJSON(si.schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		tableJSON, err := mapping.EncodeJSON(si.table)
-		if err != nil {
-			return nil, nil, err
-		}
-		ints = append(ints, saveIntegrationRec{
-			Name: si.name, Schema1: si.schema1, Schema2: si.schema2,
-			Schema: schemaJSON, Table: tableJSON,
-		})
-	}
-	return ints, append([]loadRowsRec(nil), st.rowLog...), nil
-}
-
-// restoreFederation reinstalls snapshot federation state: the saved
-// integrations verbatim, then the instance stores rebuilt by replaying the
-// row-batch log (recovery and replica bootstrap).
-func (st *Store) restoreFederation(ints []saveIntegrationRec, rows []loadRowsRec) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, rec := range ints {
-		si, err := decodeSavedIntegration(rec)
-		if err != nil {
-			return fmt.Errorf("restore integration %q: %w", rec.Name, err)
-		}
-		st.integrations[rec.Name] = si
-	}
-	for _, rec := range rows {
-		if err := st.applyLoadRowsLocked(rec); err != nil {
-			return fmt.Errorf("restore rows for %s.%s: %w", rec.Schema, rec.Structure, err)
-		}
-	}
-	return nil
 }

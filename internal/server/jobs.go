@@ -429,18 +429,19 @@ func (q *Queue) Kill() {
 	q.wg.Wait()
 }
 
-// Restore seeds the queue with jobs recovered from the journal, before the
-// queue is exposed to traffic. Queued (and running — i.e. interrupted mid-
-// flight) jobs are re-enqueued or marked interrupted; terminal jobs keep
-// their recorded state. nextID continues the recovered ID sequence.
-func (q *Queue) Restore(jobs []Job, nextID int) (requeued, interrupted int) {
+// Restore seeds the queue with a job table recovered from the journal (or
+// replicated from a leader), before the queue takes writes. Queued jobs
+// are re-enqueued, running ones (interrupted mid-flight) come back
+// interrupted, and terminal jobs keep their recorded state; the ID
+// sequence continues past the table's. The table is only read.
+func (q *Queue) Restore(t *jobTable) (requeued, interrupted int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if nextID > q.nextID {
-		q.nextID = nextID
+	if t.nextID > q.nextID {
+		q.nextID = t.nextID
 	}
-	for i := range jobs {
-		job := jobs[i] // private copy; the queue owns the live record
+	for i := range t.jobs {
+		job := t.jobs[i] // private copy; the queue owns the live record
 		switch job.State {
 		case JobQueued:
 			select {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/replication"
-	"repro/internal/session"
 )
 
 // FollowerConfig parameterizes follower mode (Config.Follow).
@@ -119,57 +118,23 @@ func (f *followState) lagSnapshot() map[string]ReplicaLag {
 // can never observe a half-applied record.
 type replicaState struct {
 	mu         sync.Mutex
-	jobs       []Job          // guarded by mu
-	byID       map[string]int // guarded by mu
-	nextJobID  int            // guarded by mu
-	appliedSeq uint64         // guarded by mu
-}
-
-// capture renders the replica's persisted state for compaction and for
-// re-serving snapshots to downstream followers. Holding rep.mu across the
-// whole capture (locking st.mu inside, the same order ApplyFrame uses)
-// makes the state exact for appliedSeq: the apply loop cannot slip a
-// record in between reading the sequence number and marshaling the store.
-func (rep *replicaState) capture(s *Server, ws *Workspace) (state []byte, uptoSeq uint64, err error) {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	uptoSeq = rep.appliedSeq
-	st := ws.store
-	st.mu.Lock()
-	wsData, err := session.Marshal(st.ws)
-	var ints []saveIntegrationRec
-	var rows []loadRowsRec
-	if err == nil {
-		ints, rows, err = st.federationSnapshotLocked()
-	}
-	st.mu.Unlock()
-	if err != nil {
-		return nil, 0, err
-	}
-	jobs := append([]Job(nil), rep.jobs...)
-	state, err = json.Marshal(persistedState{
-		Workspace: wsData, Jobs: jobs, NextJobID: rep.nextJobID, Keys: s.snapshotKeys(ws.name),
-		Integrations: ints, Rows: rows,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return state, uptoSeq, nil
+	table      *jobTable // guarded by mu
+	appliedSeq uint64    // guarded by mu
 }
 
 // jobsSnapshot copies the replica's job table.
 func (rep *replicaState) jobsSnapshot() []Job {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	return append([]Job(nil), rep.jobs...)
+	return append([]Job(nil), rep.table.jobs...)
 }
 
 // jobGet looks a job up in the replica's table.
 func (rep *replicaState) jobGet(id string) (Job, bool) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if i, ok := rep.byID[id]; ok {
-		return rep.jobs[i], true
+	if i, ok := rep.table.byID[id]; ok {
+		return rep.table.jobs[i], true
 	}
 	return Job{}, false
 }
@@ -196,12 +161,12 @@ func (ws *Workspace) jobView(id string) (Job, bool) {
 // but nothing journals through the store or queue — every append flows
 // through the replication apply path — and the compaction loop stays
 // parked (the sync loop compacts synchronously; promotion starts the loop).
-func (s *Server) armReplica(ws *Workspace, j *journal.Journal, jobs []Job, byID map[string]int, nextID int) {
+func (s *Server) armReplica(ws *Workspace, j *journal.Journal, jobs *jobTable) {
 	ws.persist = &persister{j: j, every: s.dcfg.SnapshotEvery, stop: make(chan struct{}), done: make(chan struct{})}
 	j.SetObserver(func(fsync time.Duration, err error) {
 		s.metrics.ObserveJournalAppend(fsync, err)
 	})
-	ws.replica.Store(&replicaState{jobs: jobs, byID: byID, nextJobID: nextID, appliedSeq: j.Seq()})
+	ws.replica.Store(&replicaState{table: jobs, appliedSeq: j.Seq()})
 }
 
 // startFollowing validates the follower configuration and launches the sync
@@ -404,18 +369,12 @@ func (t followerTarget) AppliedSeq(name string) (uint64, error) {
 	return rep.appliedSeq, nil
 }
 
-// Bootstrap replaces the replica wholesale with a leader snapshot: the
-// journal is reset first (durability before visibility — a crash between
-// the two steps recovers the snapshot's consistent state), then the store
-// and job table are swapped under the replica lock.
-//
-// The //sit:bootstrap list is the follower-seed contract: every journal
-// op whose effect a freshly seeded follower restores from the shipped
-// snapshot. An op missing here means a follower would silently diverge.
-//
-//sit:bootstrap opAddSchemas opRemoveSchema opDeclareEquiv opAssert opRetract
-//sit:bootstrap opJobSubmit opJobStart opJobFinish
-//sit:bootstrap opSaveIntegration opLoadRows opSetKeys
+// Bootstrap replaces the replica wholesale with a leader snapshot. The
+// snapshot is rebuilt off to the side first, so one that cannot be
+// restored fails before anything changes. Then the journal is reset
+// (durability before visibility: a crash after the reset recovers the
+// snapshot's consistent state), and the store, job table, sequence number
+// and key set are installed together under the replica lock.
 func (t followerTarget) Bootstrap(name string, snap replication.Snapshot) error {
 	ws, err := t.s.ensureReplicaWorkspace(name)
 	if err != nil {
@@ -425,26 +384,20 @@ func (t followerTarget) Bootstrap(name string, snap replication.Snapshot) error 
 	if rep == nil || ws.persist == nil {
 		return fmt.Errorf("workspace %q is not a replica", name)
 	}
-	dec, err := decodePersistedState(snap.State)
+	rs, err := t.s.restoreState(name, snap.State)
 	if err != nil {
 		return err
 	}
 	if err := ws.persist.j.ResetTo(snap.State, snap.Seq); err != nil {
 		return err
 	}
-	if name == DefaultWorkspace && len(dec.keys) > 0 {
-		if err := t.s.applyJournaledKeys(dec.keys); err != nil {
-			return err
-		}
-	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	ws.store.Replace(dec.ws)
-	if err := ws.store.restoreFederation(dec.integrations, dec.rows); err != nil {
-		return fmt.Errorf("restore federation state: %w", err)
+	ws.store.install(rs.store)
+	rep.table, rep.appliedSeq = rs.jobs, snap.Seq
+	if rs.keys != nil {
+		t.s.installKeys(rs.keys)
 	}
-	rep.jobs, rep.byID, rep.nextJobID = dec.jobs, dec.byID, dec.nextJobID
-	rep.appliedSeq = snap.Seq
 	return nil
 }
 
@@ -471,7 +424,7 @@ func (t followerTarget) ApplyFrame(name string, line []byte, rec replication.Rec
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if err := applyRecord(ws.store, rec, rep.byID, &rep.jobs, &rep.nextJobID, keysHook); err != nil {
+	if err := applyRecord(ws.store, rep.table, keysHook, rec); err != nil {
 		return fmt.Errorf("apply journaled record %d (%s): %w", rec.Seq, rec.Op, err)
 	}
 	rep.appliedSeq = rec.Seq
@@ -700,13 +653,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rep.mu.Lock()
-		jobs := append([]Job(nil), rep.jobs...)
-		nextID := rep.nextJobID
+		jobs := rep.table
 		rep.mu.Unlock()
 		ws.replica.Store(nil)
 		ws.store.SetMaxSchemas(s.limits.MaxSchemas)
 		ws.queue.SetMaxJobs(s.limits.MaxJobs)
-		rq, ir := s.armJournal(ws, ws.persist.j, jobs, nextID)
+		rq, ir := s.armJournal(ws, ws.persist.j, jobs)
 		requeued += rq
 		interrupted += ir
 	}

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/instance"
 	"repro/internal/journal"
+	"repro/internal/replication"
 )
 
 // openFollower opens a durable follower of the leader at base, polling fast
@@ -270,6 +272,55 @@ func TestFollowerBootstrapsFromSnapshotAfterCompaction(t *testing.T) {
 		doJSON(t, fs.Client(), "GET", fs.URL+"/v1/equivalences", nil, &resp)
 		return len(resp.Classes) == 5
 	}, "post-bootstrap record to replicate")
+}
+
+// TestFailedBootstrapLeavesReplicaUnchanged hands a caught-up follower a
+// CRC-valid snapshot that cannot be restored (its row log names a schema
+// the snapshot does not hold). Bootstrap must fail before touching
+// anything: a reset journal or a half-installed store would leave the
+// replica claiming a sequence number whose state it does not hold, and the
+// next round would skip the re-sent frames as duplicates.
+func TestFailedBootstrapLeavesReplicaUnchanged(t *testing.T) {
+	dirL, dirF := t.TempDir(), t.TempDir()
+	leader, _ := openDurable(t, dirL, journal.Hooks{})
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	defer leader.Kill()
+	populatePaperWorkspace(t, ts.Client(), ts.URL)
+
+	follower := openFollower(t, dirF, ts.URL)
+	defer follower.Kill()
+	fs := httptest.NewServer(follower.Handler())
+	defer fs.Close()
+	waitFor(t, 10*time.Second, func() bool { return caughtUp(leader, follower) }, "follower to catch up")
+	follower.follow.Load().halt(true) // nothing but the bootstrap below touches the replica now
+
+	target := followerTarget{follower}
+	seq := follower.Journal().Seq()
+	applied, err := target.AppliedSeq(DefaultWorkspace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := observe(t, fs.Client(), fs.URL)
+
+	state, err := json.Marshal(persistedState{
+		Rows: []loadRowsRec{{Schema: "missing", Structure: "E", Rows: []instance.Row{{"k": "1"}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := replication.Snapshot{Seq: seq + 10, CRC32: replication.ChecksumState(state), State: state}
+	if err := target.Bootstrap(DefaultWorkspace, snap); err == nil {
+		t.Fatal("Bootstrap restored a snapshot whose rows name a missing schema")
+	}
+
+	if got := follower.Journal().Seq(); got != seq {
+		t.Errorf("journal seq after failed bootstrap = %d, want %d", got, seq)
+	}
+	if got, err := target.AppliedSeq(DefaultWorkspace); err != nil || got != applied {
+		t.Errorf("AppliedSeq after failed bootstrap = %d (%v), want %d", got, err, applied)
+	}
+	requireSameState(t, "replica after failed bootstrap", want, observe(t, fs.Client(), fs.URL))
 }
 
 // TestLeaderCrashMidStreamFollowerConverges is the in-process chaos test:

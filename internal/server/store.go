@@ -23,6 +23,7 @@ import (
 	"repro/internal/equivalence"
 	"repro/internal/instance"
 	"repro/internal/integrate"
+	"repro/internal/mapping"
 	"repro/internal/resemblance"
 	"repro/internal/session"
 )
@@ -149,19 +150,76 @@ func NewStoreFrom(ws *session.Workspace) *Store {
 	}
 }
 
-// Replace swaps the store's workspace wholesale — the replica-bootstrap
-// path, where a snapshot shipped from the leader supersedes everything the
-// store held. All caches are invalidated. The caller must not touch the
-// workspace afterwards.
-func (st *Store) Replace(ws *session.Workspace) {
+// restoreStore rebuilds the store half of a snapshot as a new, unshared
+// store: the workspace, the saved integrations verbatim, and the instance
+// stores rebuilt by replaying the row-batch log.
+func restoreStore(ps *persistedState) (*Store, error) {
+	ws := session.NewWorkspace()
+	if len(ps.Workspace) > 0 {
+		var err error
+		if ws, err = session.Unmarshal(ps.Workspace); err != nil {
+			return nil, fmt.Errorf("rebuild workspace from snapshot: %w", err)
+		}
+	}
+	st := NewStoreFrom(ws)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.ws = ws
-	// The snapshot supersedes the federation state too; the bootstrap path
-	// reinstalls the snapshot's copy via restoreFederation right after.
-	st.integrations = map[string]*savedIntegration{}
-	st.instances = map[string]*instance.Store{}
-	st.rowLog = nil
+	for _, rec := range ps.Integrations {
+		si, err := decodeSavedIntegration(rec)
+		if err != nil {
+			return nil, fmt.Errorf("restore integration %q: %w", rec.Name, err)
+		}
+		st.integrations[rec.Name] = si
+	}
+	for _, rec := range ps.Rows {
+		if err := st.applyLoadRowsLocked(rec); err != nil {
+			return nil, fmt.Errorf("restore rows for %s.%s: %w", rec.Schema, rec.Structure, err)
+		}
+	}
+	return st, nil
+}
+
+// captureLocked fills the store half of a snapshot: the workspace in the
+// saved-workspace encoding, the saved integrations re-materialized to their
+// record form, and the row-batch log (restoreStore rebuilds the instance
+// stores by replaying it).
+//
+//sit:locked mu
+func (st *Store) captureLocked(ps *persistedState) error {
+	var err error
+	if ps.Workspace, err = session.Marshal(st.ws); err != nil {
+		return err
+	}
+	for _, name := range st.integrationNamesLocked() {
+		si := st.integrations[name]
+		schemaJSON, err := ecr.EncodeJSON(si.schema)
+		if err != nil {
+			return err
+		}
+		tableJSON, err := mapping.EncodeJSON(si.table)
+		if err != nil {
+			return err
+		}
+		ps.Integrations = append(ps.Integrations, saveIntegrationRec{
+			Name: si.name, Schema1: si.schema1, Schema2: si.schema2,
+			Schema: schemaJSON, Table: tableJSON,
+		})
+	}
+	ps.Rows = append([]loadRowsRec(nil), st.rowLog...)
+	return nil
+}
+
+// install replaces the store's contents with those of src, a store rebuilt
+// off to the side by restoreStore, in one critical section: readers see
+// the old state or the complete new one, never a mix. Every cache is
+// invalidated; the write-ahead hook and the quota stay the live store's.
+func (st *Store) install(src *Store) {
+	src.mu.Lock()
+	ws, ints, insts, rows := src.ws, src.integrations, src.instances, src.rowLog
+	src.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.ws, st.integrations, st.instances, st.rowLog = ws, ints, insts, rows
 	st.schemaGen++
 	st.touch()
 }
