@@ -727,7 +727,7 @@ func (s *Server) compactWorkspace(ws *Workspace) error {
 // under the replica lock, which the apply loop holds across each record,
 // so the state is exact for appliedSeq.
 func (s *Server) captureState(ws *Workspace) (state []byte, uptoSeq uint64, err error) {
-	ps := persistedState{Keys: s.snapshotKeys(ws.name)}
+	var ps persistedState
 	st := ws.store
 	if rep := ws.replica.Load(); rep != nil {
 		rep.mu.Lock()
@@ -748,6 +748,13 @@ func (s *Server) captureState(ws *Workspace) (state []byte, uptoSeq uint64, err 
 	if err != nil {
 		return nil, 0, err
 	}
+	// Order matters: read the key set after the sequence number. A leader
+	// updates its keys before journaling the set_keys record, and a replica
+	// installs a replicated set while holding rep.mu (still held here), so
+	// every set_keys record at or below uptoSeq is in the keys read now. A
+	// key set read before uptoSeq could miss one that Compact then drops,
+	// bringing revoked keys back after a restart.
+	ps.Keys = s.snapshotKeys(ws.name)
 	if state, err = json.Marshal(ps); err != nil {
 		return nil, 0, err
 	}

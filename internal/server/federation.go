@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -122,11 +123,13 @@ func (st *Store) applySaveIntegration(rec saveIntegrationRec) error {
 // saveIntegrationLocked installs a saved integration, live or replayed.
 // Rows loaded into an integrated schema live in an instance store over the
 // schema that name resolved to at the first load (integratedSchemaLocked).
-// When this save moves that resolution — a re-save, or a name no saved
-// integration materializes any more — the store and its row batches are
-// dropped, as a removed schema's are: a snapshot carries only the final
-// integrations and the surviving batches, so a restored store must be able
-// to replay every batch against the schema the name resolves to now.
+// When this save changes the schema that name resolves to — a re-save with
+// a different result, or a name no saved integration materializes any
+// more — the store and its row batches are dropped, as a removed schema's
+// are: a snapshot carries only the final integrations and the surviving
+// batches, so a restored store must be able to replay every batch against
+// the schema the name resolves to now. A save that resolves the name to an
+// identical schema (a retried save, say) keeps the rows.
 //
 //sit:locked mu
 func (st *Store) saveIntegrationLocked(si *savedIntegration) {
@@ -136,17 +139,32 @@ func (st *Store) saveIntegrationLocked(si *savedIntegration) {
 	}
 	st.integrations[si.name] = si
 	for _, name := range names {
-		if is := st.instances[name]; is != nil && st.ws.Schema(name) == nil && is.Schema() != st.integratedSchemaLocked(name) {
+		if is := st.instances[name]; is != nil && st.ws.Schema(name) == nil && !sameSchema(is.Schema(), st.integratedSchemaLocked(name)) {
 			st.pruneFederationLocked(name)
 		}
 	}
 }
 
+// sameSchema reports whether two schemas have the same content. Saved
+// schemas are decoded afresh on every save, so pointer identity says
+// nothing; the JSON encoding is the saved form. A schema that cannot be
+// encoded counts as different.
+func sameSchema(a, b *ecr.Schema) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	ea, err := ecr.EncodeJSON(a)
+	if err != nil {
+		return false
+	}
+	eb, err := ecr.EncodeJSON(b)
+	return err == nil && bytes.Equal(ea, eb)
+}
+
 // integratedSchemaLocked resolves an integrated schema name to the schema
 // of the first saved integration, in name order, that materializes it.
-// Integrated instance stores are built over exactly this schema (shared,
-// not cloned: saved schemas are never mutated), so a save can tell whether
-// it moved the schema a store's rows were loaded under.
+// Integrated instance stores are built over this schema (shared, not
+// cloned: saved schemas are never mutated).
 //
 //sit:rlocked mu
 func (st *Store) integratedSchemaLocked(name string) *ecr.Schema {

@@ -259,6 +259,82 @@ func TestFederationCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestIntegrationResaveKeepsRows pins which saves drop the rows loaded
+// into an integrated schema. A save that resolves the schema name to an
+// identical schema — a retried save under the same name, or another name
+// sorting earlier that produces the same schema — keeps them, live and
+// after recovery from the journal and from a snapshot. A save that changes
+// the schema drops them.
+func TestIntegrationResaveKeepsRows(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := openDurable(t, dir, journal.Hooks{})
+	ts := httptest.NewServer(srv.Handler())
+	populatePaperWorkspace(t, ts.Client(), ts.URL)
+	saveTestIntegration(t, ts.Client(), ts.URL, "paper")
+	loadTestRows(t, ts.Client(), ts.URL, "INT_sc1_sc2", "Student", []instance.Row{
+		{"D_Name": "Zed", "D_GPA": "3.8"},
+		{"D_Name": "Yan", "D_GPA": "2.1"},
+	})
+
+	view := queryRequest{Integration: "paper", Query: queryJSON{
+		Schema: "sc1", Object: "Student", Project: []string{"Name"},
+		Where: []predicateJSON{{Attr: "GPA", Op: ">", Value: "3.5"}},
+	}}
+	// viewRows runs the view query and reports whether it executed over
+	// integrated rows, failing unless the one such row is Zed.
+	viewRows := func(stage, base string, client *http.Client) bool {
+		t.Helper()
+		var resp queryResponse
+		if status := doJSON(t, client, "POST", base+"/v1/query", view, &resp); status != http.StatusOK {
+			t.Fatalf("%s: view query status %d", stage, status)
+		}
+		if resp.Executed && (len(resp.Rows) != 1 || resp.Rows[0]["Name"] != "Zed") {
+			t.Fatalf("%s: view rows = %v", stage, resp.Rows)
+		}
+		return resp.Executed
+	}
+
+	saveTestIntegration(t, ts.Client(), ts.URL, "paper")
+	if !viewRows("identical re-save", ts.URL, ts.Client()) {
+		t.Fatal("identical re-save dropped the integrated rows")
+	}
+	saveTestIntegration(t, ts.Client(), ts.URL, "another")
+	if !viewRows("identical save under an earlier name", ts.URL, ts.Client()) {
+		t.Fatal("identical save under an earlier name dropped the integrated rows")
+	}
+
+	// Both recovery legs: journal replay, then a snapshot.
+	ts.Close()
+	srv.Kill()
+	srv, _ = openDurable(t, dir, journal.Hooks{})
+	ts = httptest.NewServer(srv.Handler())
+	if !viewRows("after replay", ts.URL, ts.Client()) {
+		t.Fatal("integrated rows lost on journal replay")
+	}
+	if err := srv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	srv.Kill()
+	srv, _ = openDurable(t, dir, journal.Hooks{})
+	ts = httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if !viewRows("after snapshot recovery", ts.URL, ts.Client()) {
+		t.Fatal("integrated rows lost on snapshot recovery")
+	}
+
+	// Retracting the relationship assertion changes the integrated schema;
+	// saving it under the name that resolves first drops the rows.
+	retract := retractRequest{Schema1: "sc1", Object1: "Majors", Schema2: "sc2", Object2: "Stud_major", Relationship: true}
+	if status := doJSON(t, ts.Client(), "DELETE", ts.URL+"/v1/assertions", retract, nil); status != http.StatusOK {
+		t.Fatalf("retract status %d", status)
+	}
+	saveTestIntegration(t, ts.Client(), ts.URL, "another")
+	if viewRows("changed schema", ts.URL, ts.Client()) {
+		t.Fatal("a save that changed the integrated schema kept its rows")
+	}
+}
+
 func TestSchemasPostFormats(t *testing.T) {
 	_, ts := testServer(t)
 	client := ts.Client()
