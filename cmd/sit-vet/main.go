@@ -1,16 +1,16 @@
-// Command sit-vet is the repo's static-analysis vettool: it runs the
+// Command sit-vet is the repo's static-analysis tool: it runs the
 // internal/analysis suite — lockguard, errtype, journalorder, metriclabel,
-// lockio, admission, directive, hotalloc, lockorder — in two modes:
+// lockio, admission, directive, hotalloc, lockorder — over every package
+// the patterns match, _test.go files included:
 //
 //	go build -o bin/sit-vet ./cmd/sit-vet
-//	go vet -vettool=bin/sit-vet ./...   # unit mode: go vet drives it
-//	bin/sit-vet -mod ./...              # module mode: test files included
+//	bin/sit-vet [-cache file] [patterns]   # patterns default to ./...
 //
-// or simply `make vet`, which runs both. Unit mode rides go vet's build
-// cache but never sees _test.go files (go vet does not hand test variants
-// to a vettool); module mode loads the whole package graph itself —
-// including test variants — propagates cross-package facts in process,
-// and keeps its own result cache (-cache).
+// or simply `make sit-vet`. The driver (internal/analysis/modrun) loads
+// the package graph through `go list`, propagates cross-package facts in
+// process and keeps a cross-run result cache in the -cache file. It exits
+// 0 when the tree is clean, 2 when there are findings and 1 when the run
+// fails, including when a package does not compile.
 //
 // Each diagnostic is an invariant violation, not a style nit; there is no
 // suppression syntax. Fix the code or, if the code is right and the
@@ -18,8 +18,10 @@
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -33,7 +35,6 @@ import (
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/metriclabel"
 	"repro/internal/analysis/modrun"
-	"repro/internal/analysis/unit"
 )
 
 // journalCfg names this repo's durable mutations and its write-ahead
@@ -97,7 +98,7 @@ var admissionCfg = admission.Config{
 	},
 }
 
-// analyzers is the full suite, in both drivers.
+// analyzers is the full suite.
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockguard.Analyzer,
@@ -113,35 +114,42 @@ func analyzers() []*analysis.Analyzer {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-mod" {
-		os.Exit(runModule(os.Args[2:]))
-	}
-	unit.Main(analyzers()...)
-}
-
-// runModule is the standalone whole-module mode: analyze every package
-// matched by the patterns, test variants included.
-func runModule(args []string) int {
-	fs := flag.NewFlagSet("sit-vet -mod", flag.ExitOnError)
-	cache := fs.String("cache", "", "cross-run result cache file (stale caches are discarded, never reused)")
-	noTests := fs.Bool("notests", false, "skip test variants")
-	fs.Parse(args)
-	patterns := fs.Args()
+	cache := flag.String("cache", "", "cross-run result cache file (stale caches are discarded, never reused)")
+	flag.Parse()
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	n, err := modrun.Run(os.Stderr, analyzers(), modrun.Options{
 		Patterns:  patterns,
 		CachePath: *cache,
-		ToolID:    unit.ToolID(),
-		NoTests:   *noTests,
+		ToolID:    toolID(),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sit-vet:", err)
-		return 1
+		os.Exit(1)
 	}
 	if n > 0 {
-		return 2
+		os.Exit(2)
 	}
-	return 0
+}
+
+// toolID hashes the sit-vet binary itself, so the result cache is
+// discarded whenever the tool (an analyzer, its config or the driver)
+// changes.
+func toolID() string {
+	exe, err := os.Executable()
+	if err != nil {
+		return "unknown"
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unknown"
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -1,7 +1,7 @@
 // Package analysis is the repo's static-analysis framework: a deliberately
 // small, standard-library-only core in the shape of
 // golang.org/x/tools/go/analysis, carrying the project-specific analyzers
-// under internal/analysis/... and the cmd/sit-vet vet tool that runs them.
+// under internal/analysis/... and the cmd/sit-vet tool that runs them.
 //
 // The paper's tool exists because the DDA's eyeballs cannot be trusted to
 // catch assertion conflicts; this package exists because the compiler's
@@ -18,11 +18,19 @@
 //   - metriclabel: metric label values come from bounded-cardinality
 //     sources, never from request-derived strings.
 //   - lockio: no file or network I/O runs while an in-memory mutex is held.
+//   - admission: every registered route is wrapped in exactly one
+//     admitter, and nothing registers on the raw mux.
+//   - directive: every //sit: directive is spelled right, has the right
+//     arity and sits where an analyzer reads it.
+//   - hotalloc: functions marked //sit:hotpath allocate only their results.
+//   - lockorder: the whole-program lock-acquisition graph has no cycle.
 //
-// The framework is intentionally minimal: analyzers receive one
-// type-checked package at a time (a Pass) and report position-tagged
-// diagnostics. There is no cross-package fact store; every invariant here
-// is checkable within one package given type information for its imports.
+// Analyzers receive one type-checked package at a time (a Pass) and
+// report position-tagged diagnostics. Checks that span packages exchange
+// facts (facts.go): typed data an analyzer attaches to a function or a
+// package and reads back while analyzing the packages that import it.
+// The driver, internal/analysis/modrun, runs packages in dependency order
+// and hands each one its dependencies' facts.
 package analysis
 
 import (
@@ -45,16 +53,7 @@ type Analyzer struct {
 	// pass.Report. The returned error aborts the whole run (reserve it for
 	// internal failures, not findings).
 	Run func(pass *Pass) error
-	// FactTypes lists prototype values of every fact type the analyzer
-	// exports or imports (pointer-to-struct implementing Fact). A non-empty
-	// list tells the drivers the analyzer participates in cross-package
-	// facts, so it must also run over dependency-only units to keep the
-	// fact stream complete.
-	FactTypes []Fact
 }
-
-// UsesFacts reports whether the analyzer exchanges cross-package facts.
-func (a *Analyzer) UsesFacts() bool { return len(a.FactTypes) > 0 }
 
 // Pass carries one type-checked package through an analyzer.
 type Pass struct {

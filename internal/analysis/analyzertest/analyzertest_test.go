@@ -102,9 +102,8 @@ func (*factOnFuncs) AFact() {}
 // from a fixture dependency into the package under test.
 func depFactAnalyzer() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:      "depfact",
-		Doc:       "facts across fixture packages",
-		FactTypes: []analysis.Fact{(*factOnFuncs)(nil)},
+		Name: "depfact",
+		Doc:  "facts across fixture packages",
 		Run: func(pass *analysis.Pass) error {
 			scope := pass.Pkg.Scope()
 			for _, name := range scope.Names() {

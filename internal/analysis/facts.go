@@ -13,10 +13,8 @@ import (
 // fact type is a pointer-to-struct with JSON-serializable exported fields;
 // the AFact marker keeps arbitrary values out of the fact store.
 //
-// Facts travel between compilation units through the drivers: the unit
-// (go vet -vettool) driver writes each package's facts to its .vetx output
-// and reads its dependencies' facts back through cfg.PackageVetx, and the
-// module driver carries them in memory (and in its cross-run cache). Both
+// Facts travel between packages through the driver (internal/analysis/
+// modrun), which carries them in memory and in its cross-run cache. They
 // propagate transitively: a package's exported fact set is the union of
 // what its analyzers exported and everything imported from its
 // dependencies, so a fact rides from internal/journal through

@@ -41,9 +41,8 @@ func (t *T) M() {}
 func F() {}
 `)
 	exporter := &Analyzer{
-		Name:      "exp",
-		Doc:       "exports facts",
-		FactTypes: []Fact{(*testFact)(nil)},
+		Name: "exp",
+		Doc:  "exports facts",
 		Run: func(pass *Pass) error {
 			pass.ExportObjectFact(pkg.Scope().Lookup("F"), &testFact{Note: "func"})
 			pass.ExportPackageFact(&testFact{Note: "pkg"})
@@ -69,9 +68,8 @@ func F() {}
 	// A downstream pass with the decoded set imports both facts back.
 	var got []string
 	importer := &Analyzer{
-		Name:      "exp", // facts are namespaced per analyzer name
-		Doc:       "imports facts",
-		FactTypes: []Fact{(*testFact)(nil)},
+		Name: "exp", // facts are namespaced per analyzer name
+		Doc:  "imports facts",
 		Run: func(pass *Pass) error {
 			var f testFact
 			if pass.ImportObjectFact(pkg.Scope().Lookup("F"), &f) {

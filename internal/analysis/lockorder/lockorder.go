@@ -67,10 +67,9 @@ type edge struct {
 // New returns the lockorder analyzer.
 func New() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:      "lockorder",
-		Doc:       "report lock-order cycles in the cross-package mutex acquisition graph",
-		FactTypes: []analysis.Fact{(*locksFact)(nil), (*graphFact)(nil)},
-		Run:       run,
+		Name: "lockorder",
+		Doc:  "report lock-order cycles in the cross-package mutex acquisition graph",
+		Run:  run,
 	}
 }
 

@@ -1,20 +1,20 @@
-// Package modrun is sit-vet's whole-module driver: it loads every package
-// named by the patterns — including test variants, which `go vet
-// -vettool` never hands to the tool — through `go list -export -deps
+// Package modrun is sit-vet's driver: it loads every package named by the
+// patterns, test variants included, through `go list -export -deps
 // -test`, type-checks each against the export data the go command already
 // built, and runs the analyzer suite over the module's packages in
 // dependency order with facts flowing from each package to its
 // dependents.
 //
-// Where the unit driver receives one compilation unit per process and
-// threads facts through .vetx files, this driver sees the whole graph in
-// one process: the fact set a package exports (its own plus everything
-// inherited) is handed directly to its dependents. Results are cached
-// across runs in a single JSON file keyed by a Merkle hash of the tool
-// build, the package's source bytes and its dependencies' fact sets, so
-// an unchanged package costs one hash instead of a re-analysis; a cache
-// written by a different tool build or format version is discarded
-// wholesale, never reused.
+// The driver sees the whole graph in one process: the fact set a package
+// exports (its own plus everything inherited) is handed directly to its
+// dependents. A module package that does not load — a `go list` error, or
+// no export data because it or a test file does not compile — fails the
+// run, naming the package; it is never skipped. Results are cached across
+// runs in a single JSON file keyed by a Merkle hash of the tool build, the
+// package's source bytes and its dependencies' fact sets, so an unchanged
+// package costs one hash instead of a re-analysis; a cache written by a
+// different tool build or format version is discarded wholesale, never
+// reused.
 package modrun
 
 import (
@@ -51,6 +51,7 @@ type listPackage struct {
 	ImportMap  map[string]string
 	ForTest    string
 	Module     *struct{ Path string }
+	Error      *struct{ Err string }
 }
 
 // Diagnostic is one rendered finding: position, message and analyzer.
@@ -88,23 +89,27 @@ type Options struct {
 	CachePath string
 	// ToolID keys the cache to one tool build (the sit-vet binary hash).
 	ToolID string
-	// Tests includes _test.go files by analyzing test variants (default
-	// behavior; disable for a faster production-only pass).
-	NoTests bool
 }
 
 // Run executes the analyzers over the module, printing diagnostics to w
 // ("file:line:col: message [analyzer]") and returning how many were
 // reported. An error means the run itself failed, not that findings
-// exist.
+// exist: among other causes, a module package that does not load.
 func Run(w io.Writer, analyzers []*analysis.Analyzer, opts Options) (int, error) {
 	pkgs, err := load(opts)
 	if err != nil {
 		return 0, err
 	}
 	byPath := map[string]*listPackage{}
+	var broken []string
 	for _, p := range pkgs {
 		byPath[p.ImportPath] = p
+		if msg := loadError(p); msg != "" {
+			broken = append(broken, msg)
+		}
+	}
+	if len(broken) > 0 {
+		return 0, fmt.Errorf("modrun: %d package(s) did not load:\n%s", len(broken), strings.Join(broken, "\n"))
 	}
 
 	order, err := topoOrder(pkgs, byPath)
@@ -127,7 +132,7 @@ func Run(w io.Writer, analyzers []*analysis.Analyzer, opts Options) (int, error)
 	var all []Diagnostic
 	for _, path := range order {
 		p := byPath[path]
-		if !r.analyzable(p) {
+		if !analyzable(p) {
 			continue
 		}
 		diags, err := r.analyze(p)
@@ -167,12 +172,10 @@ func Run(w io.Writer, analyzers []*analysis.Analyzer, opts Options) (int, error)
 
 // load shells out to `go list` for the package graph.
 func load(opts Options) ([]*listPackage, error) {
-	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Name,Dir,GoFiles,Standard,Export,Imports,ImportMap,ForTest,Module,Error"}
-	if !opts.NoTests {
-		args = append(args, "-test")
-	}
-	args = append(args, opts.Patterns...)
-	cmd := exec.Command("go", args...)
+	// -e keeps go list going past a broken package, so Run can name every
+	// one instead of echoing go list's first complaint.
+	args := []string{"list", "-e", "-export", "-deps", "-test", "-json=ImportPath,Name,Dir,GoFiles,Standard,Export,Imports,ImportMap,ForTest,Module,Error"}
+	cmd := exec.Command("go", append(args, opts.Patterns...)...)
 	cmd.Dir = opts.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -204,13 +207,28 @@ type runner struct {
 	toolID    string
 }
 
-// analyzable: module packages only — never the standard library, and
-// never the synthesized ".test" main package (generated source).
-func (r *runner) analyzable(p *listPackage) bool {
-	if p.Standard || p.Module == nil || p.Export == "" {
-		return false
+// analyzable: module packages only — never the standard library, never
+// the synthesized ".test" main package (generated source), and never a
+// package without Go files (a directory holding only _test.go files; its
+// test variant is analyzed instead).
+func analyzable(p *listPackage) bool {
+	return !p.Standard && p.Module != nil && len(p.GoFiles) > 0 && !strings.HasSuffix(p.ImportPath, ".test")
+}
+
+// loadError describes why a package cannot be analyzed — go list
+// reported an error for it, or the go command built no export data for an
+// analyzable package (it, a test file or a dependency does not compile) —
+// or returns "".
+func loadError(p *listPackage) string {
+	switch {
+	case p.Error != nil:
+		// Build errors arrive under the go command's "# <package>" header.
+		msg := strings.TrimPrefix(p.Error.Err, "# "+p.ImportPath+"\n")
+		return fmt.Sprintf("%s: %s", p.ImportPath, strings.TrimSpace(msg))
+	case analyzable(p) && p.Export == "":
+		return fmt.Sprintf("%s: no export data (it or a dependency does not build)", p.ImportPath)
 	}
-	return !strings.HasSuffix(p.ImportPath, ".test")
+	return ""
 }
 
 // depsOf resolves a package's direct imports through its ImportMap.

@@ -3,6 +3,7 @@ package modrun
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/errtest"
 )
 
 type exportedFact struct {
@@ -24,9 +26,8 @@ func (*exportedFact) AFact() {}
 // package boundary.
 func crossPkgAnalyzer() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:      "xfact",
-		Doc:       "test analyzer: facts across packages",
-		FactTypes: []analysis.Fact{(*exportedFact)(nil)},
+		Name: "xfact",
+		Doc:  "test analyzer: facts across packages",
 		Run: func(pass *analysis.Pass) error {
 			scope := pass.Pkg.Scope()
 			for _, name := range scope.Names() {
@@ -46,8 +47,9 @@ func crossPkgAnalyzer() *analysis.Analyzer {
 	}
 }
 
-// writeModule lays out a two-package module: pkg b imports pkg a and
-// calls a fact-carrying function.
+// writeModule lays out a module: pkg b imports pkg a and calls a
+// fact-carrying function, from b.go and from b_test.go, and directory c
+// holds nothing but an external test package making the same call.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -56,6 +58,7 @@ func writeModule(t *testing.T) string {
 		"a/a.go":      "package a\n\nfunc TrackedThing() int { return 1 }\n\nfunc Plain() int { return 2 }\n",
 		"b/b.go":      "package b\n\nimport \"example.com/m/a\"\n\nfunc Use() int { return a.TrackedThing() + a.Plain() }\n",
 		"b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"example.com/m/a\"\n)\n\nfunc TestUse(t *testing.T) {\n\tif a.TrackedThing() == 0 {\n\t\tt.Fatal(\"zero\")\n\t}\n}\n",
+		"c/c_test.go": "package c_test\n\nimport (\n\t\"testing\"\n\n\t\"example.com/m/a\"\n)\n\nfunc TestC(t *testing.T) { _ = a.TrackedThing() }\n",
 	}
 	for name, content := range files {
 		full := filepath.Join(dir, name)
@@ -182,6 +185,53 @@ func TestRunInvalidatesCacheOnSourceChange(t *testing.T) {
 	}
 	if c1, c2 := strings.Count(first.String(), "b.go:"), strings.Count(second.String(), "b.go:"); c2 != c1+1 {
 		t.Fatalf("edit not picked up: %d then %d b.go findings\n%s", c1, c2, second.String())
+	}
+}
+
+// TestRunReportsTestFilesOnceEach pins what the driver exists for: a
+// finding only a _test.go file holds is reported — from an in-package test
+// file and from a directory holding nothing but an external test package —
+// while a finding in a non-test file, which the base package and its test
+// variant both analyze, is reported exactly once.
+func TestRunReportsTestFilesOnceEach(t *testing.T) {
+	requireGo(t)
+	dir := writeModule(t)
+	var buf bytes.Buffer
+	n, err := Run(&buf, []*analysis.Analyzer{crossPkgAnalyzer()}, Options{Dir: dir, Patterns: []string{"./..."}, ToolID: "test-build"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for file, want := range map[string]int{"b.go:": 1, "b_test.go:": 1, "c_test.go:": 1} {
+		if got := strings.Count(out, file); got != want {
+			t.Errorf("%d findings in %s, want %d:\n%s", got, file, want, out)
+		}
+	}
+	if n != 3 {
+		t.Errorf("Run reported %d findings, want 3:\n%s", n, out)
+	}
+}
+
+// TestRunFailsOnPackageThatDoesNotLoad: a package the go command cannot
+// build — a type error in a non-test file, or in a _test.go file only the
+// test variant compiles — must fail the run and be named, never skipped.
+func TestRunFailsOnPackageThatDoesNotLoad(t *testing.T) {
+	requireGo(t)
+	for _, tc := range []struct {
+		name, file, src, pkg string
+	}{
+		{"non-test file", "a/bad.go", "package a\n\nvar Bad int = \"x\"\n", "example.com/m/a"},
+		{"test file", "b/bad_test.go", "package b\n\nvar bad int = \"x\"\n", "example.com/m/b [example.com/m/b.test]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeModule(t)
+			if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.src), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Run(io.Discard, []*analysis.Analyzer{crossPkgAnalyzer()}, Options{Dir: dir, Patterns: []string{"./..."}, ToolID: "test-build"})
+			errtest.WantSubstring(t, err, tc.pkg+":")
+			errtest.WantSubstring(t, err, filepath.Base(tc.file))
+		})
 	}
 }
 

@@ -23,7 +23,8 @@ type Target interface {
 	Bootstrap(ws string, snap Snapshot) error
 	// ApplyFrame journals one raw frame line and applies its record. A
 	// journal.ErrDuplicateSeq refusal is harmless re-delivery; any other
-	// error aborts the batch.
+	// error aborts the batch. A frame journaled by an earlier call whose
+	// apply failed is not a duplicate: its re-delivery must be applied.
 	ApplyFrame(ws string, line []byte, rec Record) error
 }
 

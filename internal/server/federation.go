@@ -287,9 +287,10 @@ func (st *Store) instanceForLocked(schemaName string) (*instance.Store, error) {
 }
 
 // pruneFederationLocked drops the instance store and row batches loaded
-// under a schema name — a removed schema's, or an integrated schema's whose
-// resolution a save moved — so the record prunes the same state on replay
-// that it pruned live. Saved integrations are materialized copies and
+// under a schema name — a removed schema's, an integrated schema's whose
+// resolution a save moved, or an integrated schema's that an added
+// component schema now shadows — so the record prunes the same state on
+// replay that it pruned live. Saved integrations are materialized copies and
 // survive their components.
 //
 //sit:locked mu

@@ -415,3 +415,44 @@ func TestSchemasPostRawFormatParam(t *testing.T) {
 		t.Fatalf("raw jsonschema upload status %d", res.StatusCode)
 	}
 }
+
+// TestComponentSchemaShadowingIntegratedDropsRows: rows loaded into a saved
+// integration's schema are dropped when a component schema of the same
+// name is uploaded, since the name now resolves to the component schema
+// and a snapshot restore could not replay them against it. Every read must
+// agree live, after journal replay and after snapshot recovery.
+func TestComponentSchemaShadowingIntegratedDropsRows(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := openDurable(t, dir, journal.Hooks{})
+	ts := httptest.NewServer(srv.Handler())
+	populatePaperWorkspace(t, ts.Client(), ts.URL)
+	saveTestIntegration(t, ts.Client(), ts.URL, "paper")
+	loadTestRows(t, ts.Client(), ts.URL, "INT_sc1_sc2", "Student", []instance.Row{
+		{"D_Name": "Zed", "D_GPA": "3.8"},
+	})
+	shadow := map[string]string{"ddl": "schema INT_sc1_sc2\n\nentity Course {\n    attr Code: char key\n}\n"}
+	if status := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/schemas", shadow, nil); status != http.StatusCreated {
+		t.Fatalf("upload shadowing schema: status %d", status)
+	}
+	want := observe(t, ts.Client(), ts.URL)
+	for key, answer := range want {
+		if strings.Contains(answer, "Zed") {
+			t.Fatalf("%s still answers with the dropped row: %s", key, answer)
+		}
+	}
+
+	ts.Close()
+	srv.Kill()
+	srv, _ = openDurable(t, dir, journal.Hooks{})
+	ts = httptest.NewServer(srv.Handler())
+	requireSameState(t, "after replay", want, observe(t, ts.Client(), ts.URL))
+	if err := srv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	srv.Kill()
+	srv, _ = openDurable(t, dir, journal.Hooks{})
+	ts = httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	requireSameState(t, "after snapshot recovery", want, observe(t, ts.Client(), ts.URL))
+}

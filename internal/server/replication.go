@@ -405,6 +405,11 @@ func (t followerTarget) Bootstrap(name string, snap replication.Snapshot) error 
 // and then applies its record to the store and job table under the replica
 // lock — the same order mutations commit on the leader.
 //
+// A frame whose apply failed stays journaled while appliedSeq stays behind
+// it. Its re-delivery is applied without journaling it again, and every
+// other frame is refused until it is: skipping it as a duplicate would let
+// the next frame carry appliedSeq past a record whose effect is missing.
+//
 //sit:replay
 func (t followerTarget) ApplyFrame(name string, line []byte, rec replication.Record) error {
 	ws, err := t.s.ensureReplicaWorkspace(name)
@@ -415,7 +420,16 @@ func (t followerTarget) ApplyFrame(name string, line []byte, rec replication.Rec
 	if rep == nil || ws.persist == nil {
 		return fmt.Errorf("workspace %q is not a replica", name)
 	}
-	if _, err := ws.persist.j.AppendFrame(line); err != nil {
+	// Only the sync loop (this call and Bootstrap) writes appliedSeq, so it
+	// holds still while the lock is released for the journal read below.
+	rep.mu.Lock()
+	applied := rep.appliedSeq
+	rep.mu.Unlock()
+	if ws.persist.j.Seq() > applied {
+		if rec.Seq != applied+1 {
+			return fmt.Errorf("record %d is journaled but not applied; refusing record %d until it is", applied+1, rec.Seq)
+		}
+	} else if _, err := ws.persist.j.AppendFrame(line); err != nil {
 		return err
 	}
 	var keysHook func([]apiKeyEntry) error

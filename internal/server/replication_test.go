@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -321,6 +322,73 @@ func TestFailedBootstrapLeavesReplicaUnchanged(t *testing.T) {
 		t.Errorf("AppliedSeq after failed bootstrap = %d (%v), want %d", got, err, applied)
 	}
 	requireSameState(t, "replica after failed bootstrap", want, observe(t, fs.Client(), fs.URL))
+}
+
+// TestFrameJournaledButNotAppliedIsAppliedOnRedelivery hands a caught-up
+// follower a CRC-valid frame that journals but cannot apply (its rows name
+// a schema the replica lacks). Its re-delivery must be applied again, not
+// skipped as a duplicate, and no later frame may carry AppliedSeq past it:
+// otherwise the replica would claim a record whose effect it never got.
+func TestFrameJournaledButNotAppliedIsAppliedOnRedelivery(t *testing.T) {
+	dirL, dirF := t.TempDir(), t.TempDir()
+	leader, _ := openDurable(t, dirL, journal.Hooks{})
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	defer leader.Kill()
+	populatePaperWorkspace(t, ts.Client(), ts.URL)
+
+	follower := openFollower(t, dirF, ts.URL)
+	defer follower.Kill()
+	fs := httptest.NewServer(follower.Handler())
+	defer fs.Close()
+	waitFor(t, 10*time.Second, func() bool { return caughtUp(leader, follower) }, "follower to catch up")
+	follower.follow.Load().halt(true) // nothing but the frames below touches the replica now
+
+	target := followerTarget{follower}
+	seq := follower.Journal().Seq()
+	applied, err := target.AppliedSeq(DefaultWorkspace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := observe(t, fs.Client(), fs.URL)
+	frame := func(seq uint64, op string, v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := journal.FrameRecord(journal.Record{Seq: seq, Op: op, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+	bad := frame(seq+1, opLoadRows, loadRowsRec{Schema: "missing", Structure: "E", Rows: []instance.Row{{"k": "1"}}})
+	next := frame(seq+2, opRemoveSchema, removeSchemaRec{Name: "sc1"})
+
+	deliver := func(label string, line []byte) {
+		t.Helper()
+		rec, err := journal.ParseFrame(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = target.ApplyFrame(DefaultWorkspace, line, rec)
+		if err == nil || errors.Is(err, journal.ErrDuplicateSeq) {
+			t.Fatalf("%s: ApplyFrame = %v, want the apply failure", label, err)
+		}
+		if got, err := target.AppliedSeq(DefaultWorkspace); err != nil || got != applied {
+			t.Fatalf("%s: AppliedSeq = %d (%v), want %d", label, got, err, applied)
+		}
+	}
+	deliver("first delivery", bad)
+	if got := follower.Journal().Seq(); got != seq+1 {
+		t.Fatalf("journal seq after the failed apply = %d, want %d", got, seq+1)
+	}
+	deliver("re-delivery", bad)
+	deliver("next frame", next)
+	if got := follower.Journal().Seq(); got != seq+1 {
+		t.Errorf("journal seq after the refused frame = %d, want %d", got, seq+1)
+	}
+	requireSameState(t, "replica after unapplied frame", want, observe(t, fs.Client(), fs.URL))
 }
 
 // TestLeaderCrashMidStreamFollowerConverges is the in-process chaos test:

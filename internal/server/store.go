@@ -329,7 +329,10 @@ func (st *Store) SetMaxSchemas(max int) {
 	st.maxSchemas = max
 }
 
-// AddSchemas validates and registers the given schemas, all or none.
+// AddSchemas validates and registers the given schemas, all or none. Rows
+// loaded under an added name while it named a saved integration's schema
+// are dropped: the name now resolves to the component schema, so a
+// snapshot restore could not replay them (see pruneFederationLocked).
 func (st *Store) AddSchemas(schemas []*ecr.Schema) ([]string, error) {
 	if len(schemas) == 0 {
 		return nil, fmt.Errorf("server: no schemas in request")
@@ -368,6 +371,7 @@ func (st *Store) AddSchemas(schemas []*ecr.Schema) ([]string, error) {
 		if err := st.ws.AddSchema(s); err != nil {
 			return nil, err // unreachable after the pre-checks above
 		}
+		st.pruneFederationLocked(s.Name)
 		names = append(names, s.Name)
 	}
 	st.schemaGen++
