@@ -89,21 +89,35 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 
 // BenchmarkReplicationPropagation measures steady-state lag: the time from
 // a leader append until the record is durable in a caught-up follower's
-// journal. The follower holds a long-poll on the leader, so the append's
-// wakeup drives the transfer rather than the poll interval.
+// journal. The leader holds workspaces=N workspaces and every append lands
+// in the default one; the follower holds a long-poll on the leader's
+// workspace list, so the append's wakeup drives the transfer rather than
+// the poll interval, whatever the number of workspaces.
 func BenchmarkReplicationPropagation(b *testing.B) {
-	leader, ts := benchLeader(b, 8)
-	f := benchFollower(b, b.TempDir(), ts.URL, leader.Journal().Seq())
-	defer f.Kill()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := leader.Store().Assert("sc1", "Student", 5, "sc2", "Faculty", false); err != nil {
-			b.Fatal(err)
-		}
-		want := leader.Journal().Seq()
-		for f.Journal().Seq() < want {
-			time.Sleep(20 * time.Microsecond)
-		}
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workspaces=%d", n), func(b *testing.B) {
+			leader, ts := benchLeader(b, 8)
+			for i := 1; i < n; i++ {
+				if _, err := leader.Workspaces().Create(fmt.Sprintf("idle-%d", i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			f := benchFollower(b, b.TempDir(), ts.URL, leader.Journal().Seq())
+			defer f.Kill()
+			for f.Workspaces().Len() < n {
+				time.Sleep(100 * time.Microsecond)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := leader.Store().Assert("sc1", "Student", 5, "sc2", "Faculty", false); err != nil {
+					b.Fatal(err)
+				}
+				want := leader.Journal().Seq()
+				for f.Journal().Seq() < want {
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		})
 	}
 }
 

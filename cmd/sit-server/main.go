@@ -100,7 +100,7 @@ func run() error {
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "fsync spacing under -fsync interval")
 	snapshotEvery := flag.Int("snapshot-every", 256, "compact the journal into a snapshot after this many records")
 	follow := flag.String("follow", "", "run as a read-only follower replicating this leader URL (requires -data-dir)")
-	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "follower sync pacing when idle or disconnected (with -follow)")
+	pollInterval := flag.Duration("poll-interval", 100*time.Millisecond, "follower back-off after a failed sync round or a leader that reports no change version (with -follow); a healthy follower waits on the leader, not on this interval")
 	followKey := flag.String("follow-key", "", "API key the follower presents to the leader (with -follow, when the leader runs -keys)")
 	keysFile := flag.String("keys", "", "API keys file; installs key authentication on every route (SIGHUP reloads it)")
 	maxSchemas := flag.Int("max-schemas", 0, "per-workspace schema quota; 0 is unlimited")

@@ -191,9 +191,13 @@ type Journal struct {
 	lastSync     time.Time // guarded by mu
 	dirty        bool      // guarded by mu
 
-	// changed, when non-nil, is closed after the next successful append
-	// (and replaced lazily by Changed); long-poll tail readers wait on it.
+	// changed, when non-nil, is closed after the next successful append or
+	// reset (and replaced lazily by Changed); long-poll tail readers wait on
+	// it.
 	changed chan struct{} // guarded by mu
+	// onChange, when set, is called at the same moments, after mu is
+	// released.
+	onChange func() // guarded by mu
 
 	// observe, when set, is called after every append attempt with the
 	// fsync duration (zero when no sync ran) and the append's error.
@@ -359,10 +363,13 @@ func (j *Journal) Append(op string, v any) (uint64, error) {
 	}
 	j.mu.Lock()
 	seq, fsync, err := j.appendLocked(op, data)
-	observe := j.observe
+	observe, onChange := j.observe, j.onChange
 	j.mu.Unlock()
 	if observe != nil {
 		observe(fsync, err)
+	}
+	if err == nil && onChange != nil {
+		onChange()
 	}
 	return seq, wrapErr(err)
 }
@@ -448,7 +455,8 @@ func (j *Journal) writeLineLocked(op string, seq uint64, line []byte) (time.Dura
 	return fsync, nil
 }
 
-// notifyChangedLocked wakes every Changed waiter after a successful append.
+// notifyChangedLocked wakes every Changed waiter after a successful append
+// or reset.
 //
 //sit:locked mu
 func (j *Journal) notifyChangedLocked() {
@@ -458,10 +466,19 @@ func (j *Journal) notifyChangedLocked() {
 	}
 }
 
+// SetOnChange installs a hook called after every successful append
+// (Append or AppendFrame) and every ResetTo, once the new sequence number
+// is visible and the journal's lock is released.
+func (j *Journal) SetOnChange(fn func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.onChange = fn
+}
+
 // Changed returns a channel that is closed after the next successful
-// append, for long-poll tail readers. Grab the channel, read the tail, and
-// wait on the channel only if the tail came back empty — re-arm by calling
-// Changed again after each wake-up.
+// append or reset, for long-poll tail readers. Grab the channel, read the
+// tail, and wait on the channel only if the tail came back empty — re-arm
+// by calling Changed again after each wake-up.
 func (j *Journal) Changed() <-chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -504,10 +521,13 @@ func (j *Journal) AppendFrame(line []byte) (Record, error) {
 		written = true
 		fsync, err = j.writeLineLocked(rec.Op, rec.Seq, framed)
 	}
-	observe := j.observe
+	observe, onChange := j.observe, j.onChange
 	j.mu.Unlock()
 	if observe != nil && written {
 		observe(fsync, err)
+	}
+	if written && err == nil && onChange != nil {
+		onChange()
 	}
 	return rec, wrapErr(err)
 }
@@ -754,10 +774,21 @@ func syncDir(dir string) error {
 // compacted past the replica's position (or the replica is brand new). The
 // journal is truncated before the snapshot is written: a crash between the
 // two steps leaves an older-but-consistent snapshot with an empty log,
-// which the next bootstrap simply overwrites.
+// which the next bootstrap simply overwrites. Like an append, a reset wakes
+// the Changed waiters and calls the OnChange hook.
 func (j *Journal) ResetTo(state []byte, seq uint64) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	err := j.resetLocked(state, seq)
+	onChange := j.onChange
+	j.mu.Unlock()
+	if err == nil && onChange != nil {
+		onChange()
+	}
+	return err
+}
+
+//sit:locked mu
+func (j *Journal) resetLocked(state []byte, seq uint64) error {
 	if j.broken != nil {
 		return j.broken
 	}
@@ -787,6 +818,9 @@ func (j *Journal) ResetTo(state []byte, seq uint64) error {
 	j.records = nil
 	j.sinceCompact = 0
 	j.dirty = false
+	// A reader long-polling for records after the old position must learn
+	// now that they were reset away, not when its wait runs out.
+	j.notifyChangedLocked()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 )
 
 // tailRecords parses a TailSince payload back into records.
@@ -234,5 +235,59 @@ func TestChangedSignalsAfterAppend(t *testing.T) {
 	case <-ch2:
 	default:
 		t.Fatal("changed channel not closed after AppendFrame")
+	}
+}
+
+// TestResetToWakesChangedWaiters: a reader blocked on Changed (a record
+// long-poll on a follower's journal) is released by the re-bootstrap's
+// ResetTo at once, not when its own wait runs out.
+func TestResetToWakesChangedWaiters(t *testing.T) {
+	j := mustOpen(t, t.TempDir(), Options{Sync: SyncAlways})
+	appendN(t, j, 3)
+	ch := j.Changed()
+	released := make(chan struct{})
+	go func() {
+		<-ch
+		close(released)
+	}()
+	if err := j.ResetTo([]byte(`{"k":1}`), 10); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ResetTo did not wake the Changed waiter")
+	}
+}
+
+// TestOnChangeHookFollowsSuccessfulChanges: the hook behind the leader-wide
+// change counter runs once per successful Append, AppendFrame and ResetTo,
+// and not for a refused frame.
+func TestOnChangeHookFollowsSuccessfulChanges(t *testing.T) {
+	j := mustOpen(t, t.TempDir(), Options{Sync: SyncAlways})
+	calls := 0
+	j.SetOnChange(func() { calls++ })
+	appendN(t, j, 2)
+	if calls != 2 {
+		t.Fatalf("after two appends: %d calls, want 2", calls)
+	}
+	line, err := FrameRecord(Record{Seq: 3, Op: "op"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.AppendFrame(line); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.AppendFrame(line); !errors.Is(err, ErrDuplicateSeq) {
+		t.Fatalf("re-delivered frame: %v, want ErrDuplicateSeq", err)
+	}
+	if calls != 3 {
+		t.Fatalf("after one accepted and one refused frame: %d calls, want 3", calls)
+	}
+	if err := j.ResetTo(nil, 9); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 4 {
+		t.Fatalf("after ResetTo: %d calls, want 4", calls)
 	}
 }

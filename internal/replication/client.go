@@ -28,6 +28,10 @@ var (
 	// ErrNoWorkspace reports that the leader has no such workspace (HTTP
 	// 404) — it was deleted; the follower drops its replica.
 	ErrNoWorkspace = errors.New("replication: workspace not found on leader")
+	// ErrNeedsSnapshot is what a Target's AppliedSeq returns when the
+	// replica's local state cannot be trusted (its journal did not replay
+	// at start-up): SyncWorkspace bootstraps it from a snapshot first.
+	ErrNeedsSnapshot = errors.New("replication: replica needs a snapshot")
 )
 
 // Frames is one batch of the record stream: the raw journal bytes (what the
@@ -101,16 +105,33 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 
 // Workspaces lists the leader's workspaces and their journal positions.
 func (c *Client) Workspaces(ctx context.Context) ([]WorkspaceStatus, error) {
-	resp, err := c.get(ctx, PathPrefix)
+	list, err := c.WatchWorkspaces(ctx, 0, 0)
+	return list.Workspaces, err
+}
+
+// WatchWorkspaces lists the leader's workspaces with the leader-wide change
+// version. With since non-zero and wait positive, the leader holds the
+// request until its version differs from since or wait expires; since zero
+// asks for an answer at once.
+func (c *Client) WatchWorkspaces(ctx context.Context, since uint64, wait time.Duration) (ListResponse, error) {
+	path := PathPrefix
+	if since != 0 {
+		q := url.Values{"since": {strconv.FormatUint(since, 10)}}
+		if wait > 0 {
+			q.Set("wait", strconv.FormatInt(wait.Milliseconds(), 10))
+		}
+		path += "?" + q.Encode()
+	}
+	resp, err := c.get(ctx, path)
 	if err != nil {
-		return nil, err
+		return ListResponse{}, err
 	}
 	defer resp.Body.Close()
 	var list ListResponse
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return nil, fmt.Errorf("replication: decode workspace list: %w", err)
+		return ListResponse{}, fmt.Errorf("replication: decode workspace list: %w", err)
 	}
-	return list.Workspaces, nil
+	return list, nil
 }
 
 // Snapshot fetches and checksum-verifies a workspace snapshot.

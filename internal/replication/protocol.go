@@ -53,6 +53,11 @@ type WorkspaceStatus struct {
 // ListResponse is the body of GET /v1/replication/workspaces.
 type ListResponse struct {
 	Workspaces []WorkspaceStatus `json:"workspaces"`
+	// Version is the leader-wide change counter read before the list was
+	// built: it moves on every journal append or reset and every workspace
+	// create or delete. Sent back as ?since, it holds the next list request
+	// until something changes. Zero means the leader predates the field.
+	Version uint64 `json:"version,omitempty"`
 }
 
 // Snapshot is the body of GET /v1/replication/workspaces/{ws}/snapshot: an

@@ -16,7 +16,9 @@ import (
 // same write-ahead discipline mutations follow on the leader.
 type Target interface {
 	// AppliedSeq returns the replica's last applied sequence number for the
-	// workspace, creating an empty replica if the workspace is new.
+	// workspace, creating an empty replica if the workspace is new. It
+	// returns ErrNeedsSnapshot when the replica must be rebuilt from a
+	// snapshot before it can tail.
 	AppliedSeq(ws string) (uint64, error)
 	// Bootstrap replaces the replica wholesale with a verified snapshot —
 	// the catch-up path when the leader compacted past the replica.
@@ -54,20 +56,27 @@ type Progress struct {
 // SyncWorkspace advances one workspace replica by one round: fetch the tail
 // after the replica's position (long-polling up to wait when already caught
 // up) and apply it frame by frame. It transparently falls back to snapshot
-// bootstrap in three cases: the leader compacted past the replica
-// (ErrCompacted), the stream skips ahead of the replica
-// (journal.ErrSeqGap — the replica's journal lost history), or the leader's
-// sequence runs behind the replica's (the leader lost acknowledged records
-// in a crash, so the histories diverged and the replica must be rebuilt).
+// bootstrap in four cases: the target asks for one (ErrNeedsSnapshot), the
+// leader compacted past the replica (ErrCompacted), the stream skips ahead
+// of the replica (journal.ErrSeqGap — the replica's journal lost history),
+// or the leader's sequence runs behind the replica's (the leader lost
+// acknowledged records in a crash, so the histories diverged and the
+// replica must be rebuilt).
 func SyncWorkspace(ctx context.Context, c *Client, t Target, ws string, wait time.Duration) (Progress, error) {
 	var p Progress
 	applied, err := t.AppliedSeq(ws)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrNeedsSnapshot):
+		if p, err = bootstrap(ctx, c, t, ws, p); err != nil {
+			return p, err
+		}
+	case err != nil:
 		return p, fmt.Errorf("replication: %s: %w", ws, err)
+	default:
+		p.AppliedSeq = applied
 	}
-	p.AppliedSeq = applied
 
-	frames, err := c.Records(ctx, ws, applied, wait)
+	frames, err := c.Records(ctx, ws, p.AppliedSeq, wait)
 	if errors.Is(err, ErrCompacted) {
 		if p, err = bootstrap(ctx, c, t, ws, p); err != nil {
 			return p, err

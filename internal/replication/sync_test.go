@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/journal"
 )
@@ -73,12 +74,19 @@ type fakeTarget struct {
 	ops        []string
 	state      []byte
 	failApply  error // returned by ApplyFrame once, then cleared
+	stale      bool  // AppliedSeq answers ErrNeedsSnapshot until a bootstrap
 }
 
-func (t *fakeTarget) AppliedSeq(ws string) (uint64, error) { return t.applied, nil }
+func (t *fakeTarget) AppliedSeq(ws string) (uint64, error) {
+	if t.stale {
+		return t.applied, ErrNeedsSnapshot
+	}
+	return t.applied, nil
+}
 
 func (t *fakeTarget) Bootstrap(ws string, snap Snapshot) error {
 	t.bootstraps++
+	t.stale = false
 	t.applied = snap.Seq
 	t.state = snap.State
 	t.ops = nil
@@ -222,6 +230,54 @@ func TestSyncReSnapshotsOnLocalGap(t *testing.T) {
 	}
 	if !p.Bootstrapped || tgt.bootstraps != 1 {
 		t.Fatalf("progress = %+v bootstraps = %d, want a bootstrap", p, tgt.bootstraps)
+	}
+}
+
+func TestSyncReSnapshotsWhenTargetAsks(t *testing.T) {
+	leader := &fakeLeader{name: "default"}
+	for i := 0; i < 3; i++ {
+		leader.append(t, "op", `{}`)
+	}
+	leader.compact(2, `{"leader":true}`)
+	c := startLeader(t, leader)
+
+	// The replica claims seq 3 but its journal did not replay: it must be
+	// rebuilt from the snapshot (seq 2) and then tail record 3, even though
+	// its position alone would need nothing.
+	tgt := &fakeTarget{applied: 3, stale: true}
+	p, err := SyncWorkspace(context.Background(), c, tgt, "default", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Bootstrapped || tgt.bootstraps != 1 || p.AppliedSeq != 3 || p.Applied != 1 {
+		t.Fatalf("progress = %+v bootstraps = %d, want a bootstrap to 2 and record 3 applied", p, tgt.bootstraps)
+	}
+	if string(tgt.state) != `{"leader":true}` {
+		t.Fatalf("state = %s", tgt.state)
+	}
+}
+
+func TestWatchWorkspacesSendsSinceAndWait(t *testing.T) {
+	var queries []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		queries = append(queries, r.URL.RawQuery)
+		json.NewEncoder(w).Encode(ListResponse{Workspaces: []WorkspaceStatus{{Name: "default", Seq: 4}}, Version: 9})
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	list, err := c.WatchWorkspaces(context.Background(), 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list.Version != 9 || len(list.Workspaces) != 1 || list.Workspaces[0].Seq != 4 {
+		t.Fatalf("list = %+v", list)
+	}
+	if _, err := c.WatchWorkspaces(context.Background(), 9, 1500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// No since: an immediate answer is wanted, so no wait is sent either.
+	if len(queries) != 2 || queries[0] != "" || queries[1] != "since=9&wait=1500" {
+		t.Fatalf("queries = %q", queries)
 	}
 }
 

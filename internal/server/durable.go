@@ -406,7 +406,9 @@ func (s *Server) restoreState(name string, state []byte) (*restoredState, error)
 // first, then the journal tail, then the job table is restored into the
 // fresh queue (re-enqueueing still-queued jobs) with journaling armed — or,
 // on a follower, stashed as the replica state with the apply loop taking
-// over where the journal ends.
+// over where the journal ends. A record that fails to replay fails a
+// leader's recovery; a follower keeps what did replay and re-bootstraps
+// the workspace from the leader.
 //
 //sit:replay
 func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, error) {
@@ -434,11 +436,24 @@ func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, e
 	if name == DefaultWorkspace {
 		keysHook = s.applyJournaledKeys
 	}
+	applied := seq
 	for _, rec := range j.Records() {
 		if err := applyRecord(rs.store, rs.jobs, keysHook, rec); err != nil {
-			j.Close()
-			return nil, wr, fmt.Errorf("replay journal record %d (%s): %w", rec.Seq, rec.Op, err)
+			err = fmt.Errorf("replay journal record %d (%s): %w", rec.Seq, rec.Op, err)
+			if !s.followerAtBuild() {
+				j.Close()
+				return nil, wr, err
+			}
+			// A follower's journal is a copy of the leader's: start from
+			// what did replay, and let the first sync round rebuild the
+			// workspace from the leader's snapshot (armReplica sees the
+			// journal ahead of applied).
+			if s.log != nil {
+				s.log.Warn("replica will re-bootstrap from the leader", "workspace", name, "error", err)
+			}
+			break
 		}
+		applied = rec.Seq
 		wr.ReplayedRecords++
 	}
 	wr.DroppedBytes = j.DroppedBytes()
@@ -447,7 +462,7 @@ func (s *Server) recoverWorkspace(name string) (*Workspace, WorkspaceRecovery, e
 
 	ws := s.newWorkspaceFrom(name, rs.store)
 	if s.followerAtBuild() {
-		s.armReplica(ws, j, rs.jobs)
+		s.armReplica(ws, j, rs.jobs, applied)
 	} else {
 		wr.RequeuedJobs, wr.InterruptedJobs = s.armJournal(ws, j, rs.jobs)
 	}
@@ -639,7 +654,7 @@ func (s *Server) openWorkspaceJournal(ws *Workspace) error {
 		return err
 	}
 	if s.followerAtBuild() {
-		s.armReplica(ws, j, newJobTable(nil, 0))
+		s.armReplica(ws, j, newJobTable(nil, 0), 0)
 	} else {
 		s.armJournal(ws, j, newJobTable(nil, 0))
 	}
@@ -657,6 +672,7 @@ func (s *Server) armJournal(ws *Workspace, j *journal.Journal, jobs *jobTable) (
 	j.SetObserver(func(fsync time.Duration, err error) {
 		s.metrics.ObserveJournalAppend(fsync, err)
 	})
+	j.SetOnChange(s.changes.bump)
 	appendFn := func(op string, v any) error {
 		_, err := j.Append(op, v)
 		return err
@@ -833,6 +849,7 @@ func (s *Server) Journal() *journal.Journal {
 // exactly as its write-ahead log put it — which is the point; tests
 // restart from it.
 func (s *Server) Kill() {
+	s.startClosing()
 	s.mu.Lock()
 	srv, ln := s.httpSrv, s.listener
 	s.httpSrv, s.listener = nil, nil

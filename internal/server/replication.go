@@ -20,10 +20,11 @@ import (
 type FollowerConfig struct {
 	// Leader is the leader's base URL (scheme://host:port). Required.
 	Leader string
-	// PollInterval paces the sync loop when it has nothing to apply
-	// (default 100ms). The loop long-polls the leader's record stream, so
-	// steady-state replication lag is bounded by network latency, not by
-	// this interval.
+	// PollInterval is the sync loop's back-off after a failed round (leader
+	// down, network partition) or an answer from a leader too old to report
+	// a change version (default 100ms). It does not pace a healthy loop:
+	// that one long-polls the leader's workspace list and fetches records
+	// when a write lands.
 	PollInterval time.Duration
 	// Client overrides the HTTP client used against the leader (tests,
 	// custom transports); nil uses http.DefaultClient.
@@ -45,10 +46,61 @@ func (t authedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(r)
 }
 
-// maxStreamWait caps how long the leader-side record stream long-polls
-// before answering with an empty batch, keeping it safely inside the
-// request timeout.
+// maxStreamWait caps how long the leader-side long-polls (the record
+// stream and the workspace list) hold a request before answering, keeping
+// them safely inside the request timeout.
 const maxStreamWait = 25 * time.Second
+
+// followWait is how long a follower asks the leader to hold its workspace
+// list request while nothing changes. An idle follower costs one small
+// request per wait; a leader closed without Shutdown (which answers held
+// requests at once) waits at most this long on it.
+const followWait = time.Second
+
+// changeBatch is how long the leader holds a workspace-list request that a
+// change woke before it answers, so that the writes of a burst reach a
+// follower in one round (one list answer, one records fetch per workspace)
+// rather than one round each. It also keeps that round off the request
+// that follows the write, which it would otherwise slow on a host the
+// leader shares with the follower.
+const changeBatch = 2 * time.Millisecond
+
+// changeFeed is the leader-wide change counter behind the workspace list's
+// long-poll: every journal append or reset and every workspace create or
+// delete bumps it, waking the list requests held on it.
+type changeFeed struct {
+	mu      sync.Mutex
+	version uint64        // guarded by mu
+	changed chan struct{} // guarded by mu; closed by the next bump
+}
+
+// newChangeFeed starts the counter at the boot time in nanoseconds, so a
+// restarted leader does not repeat a version a follower saw before the
+// restart, and no version is 0 ("not reported").
+func newChangeFeed() *changeFeed {
+	return &changeFeed{version: uint64(time.Now().UnixNano())}
+}
+
+// bump moves the version and wakes every watcher.
+func (c *changeFeed) bump() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.version++
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
+}
+
+// watch returns the current version and a channel the next bump closes.
+func (c *changeFeed) watch() (uint64, <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.changed == nil {
+		c.changed = make(chan struct{})
+	}
+	return c.version, c.changed
+}
 
 // followState is the live follower machinery: the sync loop's handles plus
 // the replication counters /metrics and /healthz report. It is built once
@@ -120,6 +172,17 @@ type replicaState struct {
 	mu         sync.Mutex
 	table      *jobTable // guarded by mu
 	appliedSeq uint64    // guarded by mu
+	// stale marks a replica whose journal did not fully replay at start-up:
+	// its next sync bootstraps it from the leader's snapshot, which clears
+	// the mark.
+	stale bool // guarded by mu
+}
+
+// isStale reports whether the replica awaits a re-bootstrap.
+func (rep *replicaState) isStale() bool {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return rep.stale
 }
 
 // jobsSnapshot copies the replica's job table.
@@ -157,16 +220,19 @@ func (ws *Workspace) jobView(id string) (Job, bool) {
 }
 
 // armReplica wires a recovered (or freshly created) workspace as a follower
-// replica: the journal is held by a persister for teardown and observation,
-// but nothing journals through the store or queue — every append flows
-// through the replication apply path — and the compaction loop stays
-// parked (the sync loop compacts synchronously; promotion starts the loop).
-func (s *Server) armReplica(ws *Workspace, j *journal.Journal, jobs *jobTable) {
+// replica whose store holds the records through applied: the journal is
+// held by a persister for teardown and observation, but nothing journals
+// through the store or queue — every append flows through the replication
+// apply path — and the compaction loop stays parked (the sync loop compacts
+// synchronously; promotion starts the loop). A journal holding records past
+// applied did not replay, so the replica is marked stale.
+func (s *Server) armReplica(ws *Workspace, j *journal.Journal, jobs *jobTable, applied uint64) {
 	ws.persist = &persister{j: j, every: s.dcfg.SnapshotEvery, stop: make(chan struct{}), done: make(chan struct{})}
 	j.SetObserver(func(fsync time.Duration, err error) {
 		s.metrics.ObserveJournalAppend(fsync, err)
 	})
-	ws.replica.Store(&replicaState{table: jobs, appliedSeq: j.Seq()})
+	j.SetOnChange(s.changes.bump)
+	ws.replica.Store(&replicaState{table: jobs, appliedSeq: applied, stale: applied < j.Seq()})
 }
 
 // startFollowing validates the follower configuration and launches the sync
@@ -209,25 +275,30 @@ func (s *Server) startFollowing() error {
 	return nil
 }
 
-// followLoop drives rounds of syncRound until halted, sleeping the poll
-// interval only when a round applied nothing without having long-polled
-// (multi-workspace rounds) or failed (leader down, network partition).
+// followLoop drives rounds of syncRound until halted. Each round waits on
+// the leader's change version from the one before, so the loop sleeps the
+// poll interval only when it has no version to wait on: after a failed
+// round (leader down, network partition), or against a leader too old to
+// report one.
 func (s *Server) followLoop(f *followState) {
 	defer close(f.done)
+	synced := map[string]bool{}
+	var since uint64
 	for {
 		select {
 		case <-f.stop:
 			return
 		default:
 		}
-		applied, longPolled, err := s.syncRound(f)
+		var err error
+		since, err = s.syncRound(f, since, synced)
 		if err != nil {
 			f.syncErrors.Add(1)
 			if s.log != nil {
 				s.log.Warn("replication sync", "leader", f.leader, "error", err)
 			}
 		}
-		if err != nil || (applied == 0 && !longPolled) {
+		if since == 0 {
 			select {
 			case <-f.stop:
 				return
@@ -237,39 +308,29 @@ func (s *Server) followLoop(f *followState) {
 	}
 }
 
-// syncRound reconciles the follower against the leader once: mirror the
-// workspace set (create what the leader has, drop what it no longer does),
-// then advance every workspace's replica by one SyncWorkspace round. With a
-// single workspace the record fetch long-polls, so a quiet leader costs one
-// held-open request per wait instead of a poll per interval.
-func (s *Server) syncRound(f *followState) (applied int, longPolled bool, err error) {
-	list, err := f.client.Workspaces(f.ctx)
+// syncRound reconciles the follower against the leader once. The workspace
+// list request is held open on the leader until its change version differs
+// from since (0 asks for an answer at once). The round then mirrors the
+// workspace set (creates what the leader has, drops what it no longer does)
+// and runs one SyncWorkspace round, without waiting, on each workspace this
+// loop has not synced yet (synced names those it has) or whose listed Seq
+// differs from its applied one. It returns the version to wait on next, or
+// 0 after an error so that the next round does not wait.
+func (s *Server) syncRound(f *followState, since uint64, synced map[string]bool) (uint64, error) {
+	list, err := f.client.WatchWorkspaces(f.ctx, since, followWait)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 
-	leaderHas := make(map[string]bool, len(list))
-	wait := time.Duration(0)
-	if len(list) == 1 {
-		// One workspace: long-poll the record stream (50 poll intervals,
-		// capped under the leader's request timeout) so a quiet leader costs
-		// one held-open request instead of a poll per interval.
-		longPolled = true
-		wait = 50 * f.poll
-		if wait > maxStreamWait/2 {
-			wait = maxStreamWait / 2
-		}
-	}
+	target := followerTarget{s}
+	leaderHas := make(map[string]bool, len(list.Workspaces))
 	var firstErr error
-	for _, stat := range list {
+	for _, stat := range list.Workspaces {
 		leaderHas[stat.Name] = true
-		if _, err := s.ensureReplicaWorkspace(stat.Name); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("workspace %q: %w", stat.Name, err)
-			}
-			continue
+		if applied, err := target.AppliedSeq(stat.Name); err == nil && synced[stat.Name] && applied == stat.Seq {
+			continue // nothing moved; SyncWorkspace reports any error
 		}
-		p, err := replication.SyncWorkspace(f.ctx, f.client, followerTarget{s}, stat.Name, wait)
+		p, err := replication.SyncWorkspace(f.ctx, f.client, target, stat.Name, 0)
 		if err != nil {
 			if errors.Is(err, replication.ErrNoWorkspace) {
 				continue // deleted on the leader between the list and the sync
@@ -279,7 +340,7 @@ func (s *Server) syncRound(f *followState) (applied int, longPolled bool, err er
 			}
 			continue
 		}
-		applied += p.Applied
+		synced[stat.Name] = true
 		f.recordsApplied.Add(uint64(p.Applied))
 		f.bytesApplied.Add(uint64(p.Bytes))
 		if p.Bootstrapped {
@@ -296,10 +357,14 @@ func (s *Server) syncRound(f *followState) (applied int, longPolled bool, err er
 		if !leaderHas[ws.name] && ws.name != DefaultWorkspace {
 			if err := s.manager.Delete(ws.name); err == nil {
 				f.dropLag(ws.name)
+				delete(synced, ws.name)
 			}
 		}
 	}
-	return applied, longPolled, firstErr
+	if firstErr != nil {
+		return 0, firstErr
+	}
+	return list.Version, nil
 }
 
 // ensureReplicaWorkspace returns the named local workspace, creating it
@@ -366,6 +431,9 @@ func (t followerTarget) AppliedSeq(name string) (uint64, error) {
 	}
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
+	if rep.stale {
+		return rep.appliedSeq, replication.ErrNeedsSnapshot
+	}
 	return rep.appliedSeq, nil
 }
 
@@ -394,7 +462,7 @@ func (t followerTarget) Bootstrap(name string, snap replication.Snapshot) error 
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	ws.store.install(rs.store)
-	rep.table, rep.appliedSeq = rs.jobs, snap.Seq
+	rep.table, rep.appliedSeq, rep.stale = rs.jobs, snap.Seq, false
 	if rs.keys != nil {
 		t.s.installKeys(rs.keys)
 	}
@@ -520,13 +588,106 @@ func (s *Server) replWorkspace(w http.ResponseWriter, r *http.Request) (*Workspa
 	return ws, ws.persist.j, true
 }
 
+// streamWait parses a long-poll's ?wait (milliseconds), capped at
+// maxStreamWait and at half the request timeout.
+func (s *Server) streamWait(r *http.Request) (time.Duration, error) {
+	var wait time.Duration
+	if raw := r.URL.Query().Get("wait"); raw != "" {
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms < 0 {
+			return 0, fmt.Errorf("bad wait parameter %q", raw)
+		}
+		wait = time.Duration(ms) * time.Millisecond
+	}
+	if wait > maxStreamWait {
+		wait = maxStreamWait
+	}
+	if half := s.cfg.RequestTimeout / 2; s.cfg.RequestTimeout > 0 && wait > half {
+		wait = half
+	}
+	return wait, nil
+}
+
+// pollDone reports whether a long-poll must answer now: its deadline passed
+// or the server is going down.
+func (s *Server) pollDone(deadline time.Time) bool {
+	select {
+	case <-s.closing:
+		return true
+	default:
+		return !time.Now().Before(deadline)
+	}
+}
+
+// awaitChange parks a long-poll until changed closes, the deadline passes
+// or the server starts going down. It returns the request context's error
+// when the client goes away first.
+func (s *Server) awaitChange(r *http.Request, changed <-chan struct{}, deadline time.Time) error {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-changed:
+	case <-timer.C:
+	case <-s.closing:
+	case <-r.Context().Done():
+		return r.Context().Err()
+	}
+	return nil
+}
+
+// handleReplWorkspaces lists the workspaces with their journal positions
+// and the leader-wide change version, read before the list is built. A
+// request carrying ?since is held (up to ?wait) until the version differs
+// from since, so a follower learns of any write, create or delete with one
+// request instead of polling every workspace; once a change wakes it, it
+// answers changeBatch later.
 func (s *Server) handleReplWorkspaces(w http.ResponseWriter, r *http.Request) {
 	if s.dcfg == nil {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("server is memory-only; replication needs a data directory"))
 		return
 	}
-	out := replication.ListResponse{Workspaces: []replication.WorkspaceStatus{}}
+	var since uint64
+	if raw := r.URL.Query().Get("since"); raw != "" {
+		v, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad since parameter: %w", err))
+			return
+		}
+		since = v
+	}
+	wait, err := s.streamWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	deadline := time.Now().Add(wait)
+
+	for {
+		version, changed := s.changes.watch()
+		if since == 0 || version != since || s.pollDone(deadline) {
+			writeJSON(w, http.StatusOK, s.replList(version))
+			return
+		}
+		err := s.awaitChange(r, changed, deadline)
+		if err == nil {
+			// Let the rest of a burst of writes join this answer.
+			end := time.Now().Add(changeBatch)
+			if end.After(deadline) {
+				end = deadline
+			}
+			err = s.awaitChange(r, nil, end)
+		}
+		if err != nil {
+			writeError(w, http.StatusRequestTimeout, err)
+			return
+		}
+	}
+}
+
+// replList lists the journaled workspaces' positions under version.
+func (s *Server) replList(version uint64) replication.ListResponse {
+	out := replication.ListResponse{Workspaces: []replication.WorkspaceStatus{}, Version: version}
 	for _, ws := range s.manager.List() {
 		if ws.persist == nil {
 			continue
@@ -537,7 +698,7 @@ func (s *Server) handleReplWorkspaces(w http.ResponseWriter, r *http.Request) {
 			Horizon: ws.persist.j.CompactedThrough(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -562,9 +723,9 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplRecords streams the journal tail after ?from as raw frame
-// lines. When the follower is caught up and sent ?wait, the handler holds
-// the request open until an append lands or the wait expires — long-polling
-// keeps steady-state lag at network latency without a busy poll.
+// lines. When the reader is caught up and sent ?wait, the handler holds the
+// request open until an append or a reset (a follower's re-bootstrap, which
+// answers 410) lands or the wait expires.
 func (s *Server) handleReplRecords(w http.ResponseWriter, r *http.Request) {
 	_, j, ok := s.replWorkspace(w, r)
 	if !ok {
@@ -575,20 +736,10 @@ func (s *Server) handleReplRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad from parameter: %w", err))
 		return
 	}
-	var wait time.Duration
-	if raw := r.URL.Query().Get("wait"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait parameter %q", raw))
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-	}
-	if wait > maxStreamWait {
-		wait = maxStreamWait
-	}
-	if half := s.cfg.RequestTimeout / 2; s.cfg.RequestTimeout > 0 && wait > half {
-		wait = half
+	wait, err := s.streamWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	deadline := time.Now().Add(wait)
 
@@ -606,8 +757,7 @@ func (s *Server) handleReplRecords(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("records through %d were compacted away; fetch a snapshot", horizon))
 			return
 		}
-		remaining := time.Until(deadline)
-		if len(data) > 0 || remaining <= 0 {
+		if len(data) > 0 || s.pollDone(deadline) {
 			w.Header().Set(replication.HeaderSeq, strconv.FormatUint(last, 10))
 			w.Header().Set(replication.HeaderHorizon, strconv.FormatUint(horizon, 10))
 			w.Header().Set(replication.HeaderOffset, strconv.FormatInt(j.Offset(), 10))
@@ -616,14 +766,8 @@ func (s *Server) handleReplRecords(w http.ResponseWriter, r *http.Request) {
 			_, _ = w.Write(data)
 			return
 		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-changed:
-			timer.Stop()
-		case <-timer.C:
-		case <-r.Context().Done():
-			timer.Stop()
-			writeError(w, http.StatusRequestTimeout, r.Context().Err())
+		if err := s.awaitChange(r, changed, deadline); err != nil {
+			writeError(w, http.StatusRequestTimeout, err)
 			return
 		}
 	}
@@ -652,6 +796,16 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if f == nil {
 		writeError(w, http.StatusConflict, fmt.Errorf("already the leader"))
 		return
+	}
+	// A stale replica holds journaled records it could not apply; as a
+	// leader it would serve state missing them and fail its next restart.
+	// Only a bootstrap clears the mark, so it cannot appear after this check.
+	for _, ws := range s.manager.List() {
+		if rep := ws.replica.Load(); rep != nil && rep.isStale() {
+			writeError(w, http.StatusConflict,
+				fmt.Errorf("workspace %q is waiting to re-bootstrap from the leader; promote another follower", ws.name))
+			return
+		}
 	}
 	f.halt(true)
 

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,12 +20,18 @@ import (
 	"repro/internal/replication"
 )
 
-// openFollower opens a durable follower of the leader at base, polling fast
-// enough for tests to converge quickly.
+// openFollower opens a durable follower of the leader at base, backing off
+// briefly enough after an error for tests to converge quickly.
 func openFollower(t testing.TB, dir, base string) *Server {
 	t.Helper()
+	return openFollowerPolling(t, dir, base, 3*time.Millisecond)
+}
+
+// openFollowerPolling opens a durable follower with the given poll interval.
+func openFollowerPolling(t testing.TB, dir, base string, poll time.Duration) *Server {
+	t.Helper()
 	srv, _, err := Open(
-		Config{Workers: 2, QueueCapacity: 16, Follow: &FollowerConfig{Leader: base, PollInterval: 3 * time.Millisecond}},
+		Config{Workers: 2, QueueCapacity: 16, Follow: &FollowerConfig{Leader: base, PollInterval: poll}},
 		DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +101,10 @@ func TestFollowerReplicatesReadsAndGatesWrites(t *testing.T) {
 	client := fs.Client()
 
 	waitFor(t, 10*time.Second, func() bool {
-		return bytes.Equal(journalBytes(t, dirL, "default"), journalBytes(t, dirF, "default"))
+		// A frame is journaled before it is applied: equal journals alone
+		// can still leave the last record out of the follower's store.
+		return bytes.Equal(journalBytes(t, dirL, "default"), journalBytes(t, dirF, "default")) &&
+			caughtUp(leader, follower)
 	}, "journals to converge")
 
 	// The replicated state answers reads, including compute-heavy ones.
@@ -209,8 +220,10 @@ func TestFollowerMirrorsWorkspacesAndJobs(t *testing.T) {
 		t.Fatalf("delete workspace: status %d", status)
 	}
 	waitFor(t, 10*time.Second, func() bool {
+		// Get fails as soon as the delete starts; Len drops only once its
+		// teardown, which removes the data directory, has finished.
 		_, err := follower.Workspaces().Get("team-a")
-		return err != nil
+		return err != nil && follower.Workspaces().Len() == 1
 	}, "workspace deletion to mirror")
 	if _, err := os.Stat(filepath.Join(dirF, "team-a")); !os.IsNotExist(err) {
 		t.Fatalf("follower still holds team-a data dir (stat err %v)", err)
@@ -567,4 +580,371 @@ func TestShutdownWhileFollowing(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool {
 		return len(schemasOn(t, fs.Client(), fs.URL)) == 2
 	}, "restarted follower to serve reads")
+}
+
+// openFourWorkspaceLeader opens a durable leader holding the paper schemas
+// in the default workspace and in ws-a, ws-b and ws-c, served over
+// httptest. It returns the leader, its URL and the four API roots.
+func openFourWorkspaceLeader(t *testing.T) (*Server, *httptest.Server, []string) {
+	t.Helper()
+	leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
+	ts := httptest.NewServer(leader.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(leader.Kill)
+	roots := []string{ts.URL + "/v1"}
+	for _, name := range []string{"ws-a", "ws-b", "ws-c"} {
+		if status := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/workspaces",
+			workspaceRequest{Name: name}, nil); status != http.StatusCreated {
+			t.Fatalf("create %s: status %d", name, status)
+		}
+		roots = append(roots, ts.URL+"/v1/workspaces/"+name)
+	}
+	for _, root := range roots {
+		uploadPaperSchemasAt(t, ts.Client(), root)
+	}
+	return leader, ts, roots
+}
+
+// TestFollowerFollowsWritesNotItsPollInterval: with an hour-long poll
+// interval, a follower of a four-workspace leader still mirrors a write to
+// every workspace, a create and a delete within two seconds, so the
+// interval is off the replication path.
+func TestFollowerFollowsWritesNotItsPollInterval(t *testing.T) {
+	leader, ts, roots := openFourWorkspaceLeader(t)
+	follower := openFollowerPolling(t, t.TempDir(), ts.URL, time.Hour)
+	defer follower.Kill()
+	waitFor(t, 10*time.Second, func() bool { return caughtUp(leader, follower) }, "follower to catch up")
+
+	for _, root := range roots {
+		if status := doJSON(t, ts.Client(), "POST", root+"/equivalences",
+			equivalenceRequest{Schema1: "sc1", Attr1: "Student.Name", Schema2: "sc2", Attr2: "Grad_student.Name"}, nil); status != http.StatusCreated {
+			t.Fatalf("equivalence under %s: status %d", root, status)
+		}
+	}
+	// Converge before deleting ws-c, so that no fetch of its write races
+	// the delete: a failed round would back off for the full hour.
+	waitFor(t, 2*time.Second, func() bool { return caughtUp(leader, follower) }, "writes to reach the follower")
+	if status := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/workspaces",
+		workspaceRequest{Name: "ws-d"}, nil); status != http.StatusCreated {
+		t.Fatalf("create ws-d: status %d", status)
+	}
+	if status := doJSON(t, ts.Client(), "DELETE", ts.URL+"/v1/workspaces/ws-c", nil, nil); status != http.StatusOK {
+		t.Fatalf("delete ws-c: status %d", status)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		_, err := follower.manager.Get("ws-d")
+		return err == nil && caughtUp(leader, follower)
+	}, "create and delete to reach the follower")
+}
+
+// routeCount sums one route's requests over every status class in a
+// /metrics body.
+func routeCount(t *testing.T, client *http.Client, base, route string) uint64 {
+	t.Helper()
+	var m MetricsSnapshot
+	if status := doJSON(t, client, "GET", base+"/metrics", nil, &m); status != http.StatusOK {
+		t.Fatalf("metrics: status %d", status)
+	}
+	var n uint64
+	for _, c := range m.Requests[route] {
+		n += c
+	}
+	return n
+}
+
+// TestIdleFollowerHoldsOneListRequest: a caught-up follower of an idle
+// four-workspace leader holds one workspace-list request open instead of
+// listing and fetching every workspace per poll interval.
+func TestIdleFollowerHoldsOneListRequest(t *testing.T) {
+	leader, ts, _ := openFourWorkspaceLeader(t)
+	follower := openFollower(t, t.TempDir(), ts.URL)
+	defer follower.Kill()
+	waitFor(t, 10*time.Second, func() bool { return caughtUp(leader, follower) }, "follower to catch up")
+	time.Sleep(100 * time.Millisecond) // let the last catch-up round finish
+
+	const list, records = "GET /v1/replication/workspaces", "GET /v1/replication/workspaces/{ws}/records"
+	lists0, records0 := routeCount(t, ts.Client(), ts.URL, list), routeCount(t, ts.Client(), ts.URL, records)
+	time.Sleep(500 * time.Millisecond)
+	lists, recs := routeCount(t, ts.Client(), ts.URL, list)-lists0, routeCount(t, ts.Client(), ts.URL, records)-records0
+	if lists > 2 || recs != 0 {
+		t.Fatalf("idle follower over 500ms: %d list and %d records requests, want at most 2 and 0", lists, recs)
+	}
+}
+
+// TestMixedVersionsDoNotBusyLoop: a follower facing a leader that reports
+// no change version backs off its poll interval between rounds and fetches
+// records only for workspaces that moved; a leader asked without ?since
+// answers at once, as before the parameter existed.
+func TestMixedVersionsDoNotBusyLoop(t *testing.T) {
+	t.Run("older leader", func(t *testing.T) {
+		var lists, records atomic.Int64
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case replication.PathPrefix:
+				lists.Add(1)
+				w.Write([]byte(`{"workspaces":[{"name":"default","seq":0,"horizon":0}]}`))
+			case replication.PathPrefix + "/default/records":
+				records.Add(1)
+				w.Header().Set(replication.HeaderSeq, "0")
+				w.Header().Set(replication.HeaderHorizon, "0")
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		defer old.Close()
+
+		follower := openFollowerPolling(t, t.TempDir(), old.URL, 100*time.Millisecond)
+		time.Sleep(550 * time.Millisecond)
+		follower.Kill()
+		if n := lists.Load(); n < 2 || n > 8 {
+			t.Errorf("%d list requests in 550ms at a 100ms poll interval, want 2..8", n)
+		}
+		if n := records.Load(); n != 1 {
+			t.Errorf("%d records requests for a workspace that never moved, want 1 (first contact)", n)
+		}
+	})
+
+	t.Run("older follower", func(t *testing.T) {
+		leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
+		defer leader.Kill()
+		ts := httptest.NewServer(leader.Handler())
+		defer ts.Close()
+		list := func(query string) (replication.ListResponse, time.Duration) {
+			t.Helper()
+			var out replication.ListResponse
+			start := time.Now()
+			if status := doJSON(t, ts.Client(), "GET", ts.URL+replication.PathPrefix+query, nil, &out); status != http.StatusOK {
+				t.Fatalf("list%s: status %d", query, status)
+			}
+			return out, time.Since(start)
+		}
+		first, took := list("?wait=5000")
+		if took > time.Second || first.Version == 0 {
+			t.Fatalf("list without since: version %d after %v, want a version at once", first.Version, took)
+		}
+		since := strconv.FormatUint(first.Version, 10)
+		if held, took := list("?since=" + since + "&wait=300"); took < 250*time.Millisecond || held.Version != first.Version {
+			t.Fatalf("list at the current version: version %d after %v, want it held ~300ms", held.Version, took)
+		}
+		if _, took := list("?since=" + strconv.FormatUint(first.Version-1, 10) + "&wait=5000"); took > time.Second {
+			t.Fatalf("list at a stale version answered after %v, want at once", took)
+		}
+	})
+}
+
+// TestHeldListAnswersAfterTheChangeBatch: a list request held at the
+// current version answers changeBatch after the change that wakes it, not
+// at once, so the writes right behind that change travel in the same
+// answer.
+func TestHeldListAnswersAfterTheChangeBatch(t *testing.T) {
+	leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
+	defer leader.Kill()
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	c := replication.NewClient(ts.URL, ts.Client())
+	first, err := c.WatchWorkspaces(context.Background(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		list replication.ListResponse
+		err  error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		list, err := c.WatchWorkspaces(context.Background(), first.Version, 10*time.Second)
+		done <- answer{list, err}
+	}()
+	time.Sleep(200 * time.Millisecond) // let the request park
+
+	var bumped time.Time
+	leader.manager.onChange = func() {
+		bumped = time.Now()
+		leader.changes.bump()
+	}
+	if _, err := leader.Workspaces().Create("ws-a"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-done:
+		took := time.Since(bumped)
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.list.Version == first.Version || took < changeBatch || took > 5*time.Second {
+			t.Fatalf("held list: version %d (since %d) after %v, want a new version after %v",
+				a.list.Version, first.Version, took, changeBatch)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held list request still parked 5s after a create")
+	}
+}
+
+// TestFollowerRebootstrapsJournalThatCannotReplay: a follower whose journal
+// holds a record that cannot apply (built like the frame of
+// TestFrameJournaledButNotAppliedIsAppliedOnRedelivery) still opens after a
+// crash, refuses promotion while the workspace waits for the leader, and
+// re-bootstraps it from the leader's snapshot once the leader is reachable.
+func TestFollowerRebootstrapsJournalThatCannotReplay(t *testing.T) {
+	dirL, dirF := t.TempDir(), t.TempDir()
+	leader, _ := openDurable(t, dirL, journal.Hooks{})
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	defer leader.Kill()
+	populatePaperWorkspace(t, ts.Client(), ts.URL)
+
+	follower := openFollower(t, dirF, ts.URL)
+	waitFor(t, 10*time.Second, func() bool { return caughtUp(leader, follower) }, "follower to catch up")
+	follower.follow.Load().halt(true)
+	seq := follower.Journal().Seq()
+	data, err := json.Marshal(loadRowsRec{Schema: "missing", Structure: "E", Rows: []instance.Row{{"k": "1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := journal.FrameRecord(journal.Record{Seq: seq + 1, Op: opLoadRows, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := journal.ParseFrame(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (followerTarget{follower}).ApplyFrame(DefaultWorkspace, bad, rec); err == nil {
+		t.Fatal("the bad frame applied")
+	}
+	follower.Kill()
+
+	// With the leader out of reach the follower still opens, and will not
+	// be promoted while the workspace waits for its snapshot.
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	orphan := openFollower(t, dirF, gone.URL)
+	ots := httptest.NewServer(orphan.Handler())
+	if status := doJSON(t, ots.Client(), "POST", ots.URL+"/v1/promote", nil, nil); status != http.StatusConflict {
+		t.Errorf("promote with a workspace awaiting re-bootstrap: status %d, want 409", status)
+	}
+	ots.Close()
+	orphan.Kill()
+
+	reopened := openFollower(t, dirF, ts.URL)
+	defer reopened.Kill()
+	fs := httptest.NewServer(reopened.Handler())
+	defer fs.Close()
+	// A later leader write must land on the rebuilt replica, not behind the
+	// bad frame.
+	if status := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/equivalences",
+		equivalenceRequest{Schema1: "sc2", Attr1: "Faculty.Rank", Schema2: "sc2", Attr2: "Department.Location"}, nil); status != http.StatusCreated {
+		t.Fatalf("leader write: status %d", status)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		return caughtUp(leader, reopened) && reopened.Journal().Seq() == leader.Journal().Seq()
+	}, "reopened follower to converge")
+	if lb, fb := journalBytes(t, dirL, DefaultWorkspace), journalBytes(t, dirF, DefaultWorkspace); !bytes.HasSuffix(lb, fb) {
+		t.Errorf("follower journal is not a suffix of the leader's:\nleader   %q\nfollower %q", lb, fb)
+	}
+	requireSameState(t, "re-bootstrapped follower", observe(t, ts.Client(), ts.URL), observe(t, fs.Client(), fs.URL))
+	if got := reopened.replicationSnapshot().SnapshotsFetched; got != 1 {
+		t.Errorf("snapshots_fetched = %d, want 1", got)
+	}
+}
+
+// TestFollowerBootstrapAnswersHeldRecordsLongPoll: a records long-poll
+// held on a follower (a chained reader) answers 410 as soon as that
+// follower re-bootstraps past its position, not when its wait runs out.
+func TestFollowerBootstrapAnswersHeldRecordsLongPoll(t *testing.T) {
+	leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	defer leader.Kill()
+	populatePaperWorkspace(t, ts.Client(), ts.URL)
+	follower := openFollower(t, t.TempDir(), ts.URL)
+	defer follower.Kill()
+	fs := httptest.NewServer(follower.Handler())
+	defer fs.Close()
+	waitFor(t, 10*time.Second, func() bool { return caughtUp(leader, follower) }, "follower to catch up")
+	follower.follow.Load().halt(true)
+
+	type answer struct {
+		status int
+		took   time.Duration
+	}
+	done := make(chan answer, 1)
+	go func() {
+		start := time.Now()
+		url := fs.URL + replication.PathPrefix + "/default/records?from=" +
+			strconv.FormatUint(follower.Journal().Seq(), 10) + "&wait=20000"
+		resp, err := fs.Client().Get(url)
+		if err != nil {
+			done <- answer{status: -1}
+			return
+		}
+		resp.Body.Close()
+		done <- answer{resp.StatusCode, time.Since(start)}
+	}()
+	time.Sleep(200 * time.Millisecond) // let the request park
+
+	if status := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/equivalences",
+		equivalenceRequest{Schema1: "sc2", Attr1: "Faculty.Rank", Schema2: "sc2", Attr2: "Department.Location"}, nil); status != http.StatusCreated {
+		t.Fatalf("leader write: status %d", status)
+	}
+	if err := leader.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := replication.NewClient(ts.URL, ts.Client()).Snapshot(context.Background(), DefaultWorkspace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (followerTarget{follower}).Bootstrap(DefaultWorkspace, snap); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-done:
+		if a.status != http.StatusGone || a.took > 5*time.Second {
+			t.Fatalf("held records request: status %d after %v, want 410 at once", a.status, a.took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held records request still parked 5s after the follower bootstrapped")
+	}
+}
+
+// TestShutdownAnswersHeldLongPolls: a graceful shutdown answers the
+// long-polls a follower holds on the leader at once, so they do not hold
+// the drain up for their whole wait.
+func TestShutdownAnswersHeldLongPolls(t *testing.T) {
+	leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
+	addr, err := leader.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr
+	c := replication.NewClient(base, nil)
+	first, err := c.WatchWorkspaces(context.Background(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() {
+		_, err := c.WatchWorkspaces(context.Background(), first.Version, 20*time.Second)
+		errs <- err
+	}()
+	go func() {
+		_, err := c.Records(context.Background(), DefaultWorkspace, leader.Journal().Seq(), 20*time.Second)
+		errs <- err
+	}()
+	time.Sleep(200 * time.Millisecond) // let both requests park
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := leader.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 3*time.Second {
+		t.Errorf("shutdown took %v with two long-polls held", took)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("held request: %v", err)
+		}
+	}
 }

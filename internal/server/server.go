@@ -101,6 +101,15 @@ type Server struct {
 	// cfg.Follow is still set.
 	promoted atomic.Bool
 
+	// changes is the leader-wide change counter the replication workspace
+	// list long-polls on.
+	changes *changeFeed
+	// closing is closed when the server starts going down (Shutdown or
+	// Kill), so held long-polls answer at once instead of holding the
+	// drain up for their whole wait.
+	closing   chan struct{}
+	closeOnce sync.Once
+
 	// limits is cfg.Limits with defaults applied (set once in newServer).
 	limits Limits
 
@@ -147,8 +156,11 @@ func newServer(cfg Config, dcfg *DurabilityConfig) *Server {
 		log:     cfg.Logger,
 		dcfg:    dcfg,
 		limits:  cfg.Limits.withDefaults(),
+		changes: newChangeFeed(),
+		closing: make(chan struct{}),
 	}
 	s.manager = NewManager(cfg.MaxWorkspaces, s.buildWorkspace, s.destroyWorkspace)
+	s.manager.onChange = s.changes.bump
 	s.metrics.SetQueueDepthFunc(s.manager.TotalQueueDepth)
 	s.metrics.SetSimilarityStatsFunc(s.manager.TotalSimilarityStats)
 	s.metrics.SetClosureStatsFunc(s.manager.TotalClosureStats)
@@ -376,6 +388,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		defer cancel()
 	}
 	var first error
+	s.startClosing()
 	s.mu.Lock()
 	srv := s.httpSrv
 	s.httpSrv = nil
@@ -413,6 +426,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.log.Info("shut down", "error", first)
 	}
 	return first
+}
+
+// startClosing releases every held long-poll; safe to call more than once.
+func (s *Server) startClosing() {
+	s.closeOnce.Do(func() { close(s.closing) })
 }
 
 // Run serves on addr until the context is canceled (typically by SIGTERM

@@ -99,6 +99,9 @@ type Manager struct {
 	max     int
 	build   func(name string) (*Workspace, error)
 	destroy func(*Workspace)
+	// onChange, when set, is called after a workspace is created or
+	// deleted (the replication change counter); it runs outside mu.
+	onChange func()
 
 	mu sync.RWMutex
 	// byName maps workspace names to live workspaces. A nil value is a
@@ -155,13 +158,21 @@ func (m *Manager) Create(name string) (*Workspace, error) {
 	ws, err := m.build(name)
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err != nil {
 		delete(m.byName, name)
+		m.mu.Unlock()
 		return nil, err
 	}
 	m.byName[name] = ws
+	m.mu.Unlock()
+	m.changed()
 	return ws, nil
+}
+
+func (m *Manager) changed() {
+	if m.onChange != nil {
+		m.onChange()
+	}
 }
 
 // adopt registers an already-provisioned workspace (recovery). It bypasses
@@ -205,6 +216,7 @@ func (m *Manager) Delete(name string) error {
 	m.mu.Lock()
 	delete(m.byName, name)
 	m.mu.Unlock()
+	m.changed()
 	return nil
 }
 
