@@ -29,13 +29,49 @@ import (
 	"repro/internal/workload"
 )
 
+// pairWorkspace starts a pairwise integration of s1 and s2.
+func pairWorkspace(tb testing.TB, s1, s2 *ecr.Schema) *session.Workspace {
+	tb.Helper()
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ws
+}
+
+// declareEquivalent resolves ref1 ("object.attribute") against schema s1
+// and ref2 against s2 and places both attributes in one equivalence class.
+func declareEquivalent(tb testing.TB, ws *session.Workspace, s1, s2, ref1, ref2 string) {
+	tb.Helper()
+	a, err := core.ResolveAttr(ws.Schema(s1), ref1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := core.ResolveAttr(ws.Schema(s2), ref2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ws.Registry().Declare(a, b); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// assertClosed states s1.o1 <kind> s2.o2 on eng and fails on any conflict,
+// direct or derived.
+func assertClosed(tb testing.TB, eng *assertion.Engine, s1, o1 string, kind assertion.Kind, s2, o2 string) {
+	tb.Helper()
+	res := eng.AssertAndClose(assertion.ObjKey{Schema: s1, Object: o1}, assertion.ObjKey{Schema: s2, Object: o2}, kind)
+	if !res.Consistent() {
+		tb.Fatal(res.Conflicts[0])
+	}
+}
+
 // paperIntegration assembles the full inputs of the running example: the
 // equivalences of Screen 7 and the assertions of Screen 8.
-func paperIntegration(b testing.TB) *core.Integration {
-	it, err := core.New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		b.Fatal(err)
-	}
+func paperIntegration(b testing.TB) *session.Workspace {
+	ws := pairWorkspace(b, paperex.Sc1(), paperex.Sc2())
 	for _, p := range [][2]string{
 		{"Student.Name", "Grad_student.Name"},
 		{"Student.Name", "Faculty.Name"},
@@ -43,23 +79,14 @@ func paperIntegration(b testing.TB) *core.Integration {
 		{"Department.Dname", "Department.Dname"},
 		{"Majors.Since", "Stud_major.Since"},
 	} {
-		if err := it.DeclareEquivalent(p[0], p[1]); err != nil {
-			b.Fatal(err)
-		}
+		declareEquivalent(b, ws, "sc1", "sc2", p[0], p[1])
 	}
-	if err := it.Assert("Department", assertion.Equals, "Department"); err != nil {
-		b.Fatal(err)
-	}
-	if err := it.Assert("Student", assertion.Contains, "Grad_student"); err != nil {
-		b.Fatal(err)
-	}
-	if err := it.Assert("Student", assertion.DisjointIntegrable, "Faculty"); err != nil {
-		b.Fatal(err)
-	}
-	if err := it.AssertRelationship("Majors", assertion.Equals, "Stud_major"); err != nil {
-		b.Fatal(err)
-	}
-	return it
+	objs := ws.ObjectAssertions("sc1", "sc2")
+	assertClosed(b, objs, "sc1", "Department", assertion.Equals, "sc2", "Department")
+	assertClosed(b, objs, "sc1", "Student", assertion.Contains, "sc2", "Grad_student")
+	assertClosed(b, objs, "sc1", "Student", assertion.DisjointIntegrable, "sc2", "Faculty")
+	assertClosed(b, ws.RelationshipAssertions("sc1", "sc2"), "sc1", "Majors", assertion.Equals, "sc2", "Stud_major")
+	return ws
 }
 
 // --- F1: Figure 1, the four-phase pipeline end to end ---
@@ -72,7 +99,7 @@ func BenchmarkFigure1Pipeline(b *testing.B) {
 		if err := session.New(ws, io).Run(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ws.Integrate("sc1", "sc2"); err != nil {
+		if _, err := ws.Integrate("sc1", "sc2", ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,17 +111,10 @@ func benchFigure2(b *testing.B, mk func() (*ecr.Schema, *ecr.Schema), kind asser
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		s1, s2 := mk()
-		it, err := core.New(s1, s2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := it.DeclareEquivalent(equiv[0], equiv[1]); err != nil {
-			b.Fatal(err)
-		}
-		if err := it.Assert(s1.Objects[0].Name, kind, s2.Objects[0].Name); err != nil {
-			b.Fatal(err)
-		}
-		res, err := it.Integrate("")
+		ws := pairWorkspace(b, s1, s2)
+		declareEquivalent(b, ws, s1.Name, s2.Name, equiv[0], equiv[1])
+		assertClosed(b, ws.ObjectAssertions(s1.Name, s2.Name), s1.Name, s1.Objects[0].Name, kind, s2.Name, s2.Objects[0].Name)
+		res, err := ws.Integrate(s1.Name, s2.Name, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,10 +172,10 @@ func BenchmarkFigure4SchemaSc2(b *testing.B) { benchSchemaRoundTrip(b, paperex.S
 // --- F5: the integrated schema of Figure 5 ---
 
 func BenchmarkFigure5Integration(b *testing.B) {
-	it := paperIntegration(b)
+	ws := paperIntegration(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := it.Integrate("")
+		res, err := ws.Integrate("sc1", "sc2", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,11 +290,11 @@ func BenchmarkScreens6to7Equivalence(b *testing.B) {
 }
 
 func BenchmarkScreen8AssertionCollection(b *testing.B) {
-	it := paperIntegration(b)
-	s1, s2 := it.Schemas()
+	ws := paperIntegration(b)
+	s1, s2 := ws.Schema("sc1"), ws.Schema("sc2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs := resemblance.RankObjects(s1, s2, it.Registry())
+		pairs := resemblance.RankObjects(s1, s2, ws.Registry())
 		if len(pairs) == 0 || pairs[0].Ratio != 0.5 {
 			b.Fatal("ranking wrong")
 		}
@@ -305,7 +325,7 @@ func BenchmarkScreen9ConflictResolution(b *testing.B) {
 
 func BenchmarkScreens10to12ResultViews(b *testing.B) {
 	ws := preparedWorkspace(b)
-	if _, err := ws.Integrate("sc1", "sc2"); err != nil {
+	if _, err := ws.Integrate("sc1", "sc2", ""); err != nil {
 		b.Fatal(err)
 	}
 	script := []string{
@@ -616,8 +636,8 @@ func syntheticHierarchy(depth, fanout int) *translate.Hierarchy {
 // --- X7: query translation through the generated mappings ---
 
 func BenchmarkQueryMappingSweep(b *testing.B) {
-	it := paperIntegration(b)
-	res, err := it.Integrate("")
+	ws := paperIntegration(b)
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -683,12 +703,12 @@ rel-assert Majors 1 Stud_major
 // --- X8: operational mappings — federated instance queries ---
 
 func BenchmarkFederationQuerySweep(b *testing.B) {
-	it := paperIntegration(b)
-	res, err := it.Integrate("")
+	ws := paperIntegration(b)
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		b.Fatal(err)
 	}
-	s1, s2 := it.Schemas()
+	s1, s2 := ws.Schema("sc1"), ws.Schema("sc2")
 	for _, rows := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			st1, err := instance.NewStore(s1)

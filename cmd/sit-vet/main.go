@@ -58,7 +58,6 @@ var journalCfg = journalorder.Config{
 		"repro/internal/session.Workspace.AddSchema",
 		"repro/internal/session.Workspace.RemoveSchema",
 		"repro/internal/equivalence.Registry.Declare",
-		"repro/internal/assertion.Set.AssertAndClose",
 		"repro/internal/assertion.Engine.Assert",
 		"repro/internal/assertion.Engine.AssertAndClose",
 		"repro/internal/assertion.Engine.Override",

@@ -24,11 +24,14 @@ import (
 	"repro/internal/instance"
 	"repro/internal/mapping"
 	"repro/internal/paperex"
+	"repro/internal/session"
 )
 
 func main() {
-	it, err := core.New(paperex.Sc1(), paperex.Sc2())
-	check(err)
+	s1, s2 := paperex.Sc1(), paperex.Sc2()
+	ws := session.NewWorkspace()
+	check(ws.AddSchema(s1))
+	check(ws.AddSchema(s2))
 	for _, p := range [][2]string{
 		{"Student.Name", "Grad_student.Name"},
 		{"Student.Name", "Faculty.Name"},
@@ -36,17 +39,23 @@ func main() {
 		{"Department.Dname", "Department.Dname"},
 		{"Majors.Since", "Stud_major.Since"},
 	} {
-		check(it.DeclareEquivalent(p[0], p[1]))
+		a, err := core.ResolveAttr(s1, p[0])
+		check(err)
+		b, err := core.ResolveAttr(s2, p[1])
+		check(err)
+		check(ws.Registry().Declare(a, b))
 	}
-	check(it.Assert("Department", assertion.Equals, "Department"))
-	check(it.Assert("Student", assertion.Contains, "Grad_student"))
-	check(it.Assert("Student", assertion.DisjointIntegrable, "Faculty"))
-	check(it.AssertRelationship("Majors", assertion.Equals, "Stud_major"))
-	res, err := it.Integrate("")
+	key1 := func(o string) assertion.ObjKey { return assertion.ObjKey{Schema: "sc1", Object: o} }
+	key2 := func(o string) assertion.ObjKey { return assertion.ObjKey{Schema: "sc2", Object: o} }
+	objs := ws.ObjectAssertions("sc1", "sc2")
+	check(objs.Assert(key1("Department"), key2("Department"), assertion.Equals))
+	check(objs.Assert(key1("Student"), key2("Grad_student"), assertion.Contains))
+	check(objs.Assert(key1("Student"), key2("Faculty"), assertion.DisjointIntegrable))
+	check(ws.RelationshipAssertions("sc1", "sc2").Assert(key1("Majors"), key2("Stud_major"), assertion.Equals))
+	res, err := ws.Integrate("sc1", "sc2", "")
 	check(err)
 
 	// Populate the two component databases.
-	s1, s2 := it.Schemas()
 	st1, err := instance.NewStore(s1)
 	check(err)
 	st2, err := instance.NewStore(s2)

@@ -1,4 +1,4 @@
-// Quickstart: integrate two small ECR schemas in a dozen lines.
+// Quickstart: integrate two small ECR schemas.
 //
 // Two departmental views of the same mini-world are parsed from the ECR
 // DDL, one attribute equivalence and one assertion are declared, and the
@@ -14,6 +14,7 @@ import (
 	"repro/internal/assertion"
 	"repro/internal/core"
 	"repro/internal/ecr"
+	"repro/internal/session"
 )
 
 const view1 = `
@@ -42,21 +43,34 @@ func main() {
 		log.Fatal(err)
 	}
 
-	it, err := core.New(s1, s2)
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
+			log.Fatal(err)
+		}
+	}
+	// Schema analysis: Employee.Name and Person.Name mean the same thing.
+	a, err := core.ResolveAttr(s1, "Employee.Name")
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Schema analysis: Employee.Name and Person.Name mean the same thing.
-	if err := it.DeclareEquivalent("Employee.Name", "Person.Name"); err != nil {
+	b, err := core.ResolveAttr(s2, "Person.Name")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := ws.Registry().Declare(a, b); err != nil {
 		log.Fatal(err)
 	}
 	// Assertion: every employee is a person (Employee contained in
 	// Person), so Employee becomes a category of Person.
-	if err := it.Assert("Employee", assertion.ContainedIn, "Person"); err != nil {
+	if err := ws.ObjectAssertions("payroll", "directory").Assert(
+		assertion.ObjKey{Schema: "payroll", Object: "Employee"},
+		assertion.ObjKey{Schema: "directory", Object: "Person"},
+		assertion.ContainedIn); err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := it.Integrate("company")
+	res, err := ws.Integrate("payroll", "directory", "company")
 	if err != nil {
 		log.Fatal(err)
 	}

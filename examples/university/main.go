@@ -18,6 +18,7 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/mapping"
 	"repro/internal/paperex"
+	"repro/internal/session"
 )
 
 func main() {
@@ -29,9 +30,11 @@ func main() {
 	fmt.Print(ecr.Diagram(s2))
 	fmt.Println()
 
-	it, err := core.New(s1, s2)
-	if err != nil {
-		log.Fatal(err)
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Phase 2 — schema analysis: the equivalence classes of Screen 7.
@@ -42,14 +45,22 @@ func main() {
 		{"Department.Dname", "Department.Dname"},
 		{"Majors.Since", "Stud_major.Since"},
 	} {
-		if err := it.DeclareEquivalent(pair[0], pair[1]); err != nil {
+		a, err := core.ResolveAttr(s1, pair[0])
+		if err != nil {
+			log.Fatal(err)
+		}
+		b, err := core.ResolveAttr(s2, pair[1])
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := ws.Registry().Declare(a, b); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// Phase 3 — assertion specification: the ranked pairs of Screen 8.
 	fmt.Println("--- ranked object pairs (Screen 8) ---")
-	for _, p := range it.RankedObjectPairs() {
+	for _, p := range ws.RankObjects(s1, s2) {
 		if p.Equivalent == 0 {
 			continue
 		}
@@ -62,22 +73,23 @@ func main() {
 		o1   string
 		kind assertion.Kind
 		o2   string
+		eng  *assertion.Engine
 	}{
-		{"Department", assertion.Equals, "Department"},
-		{"Student", assertion.Contains, "Grad_student"},
-		{"Student", assertion.DisjointIntegrable, "Faculty"},
+		{"Department", assertion.Equals, "Department", ws.ObjectAssertions("sc1", "sc2")},
+		{"Student", assertion.Contains, "Grad_student", ws.ObjectAssertions("sc1", "sc2")},
+		{"Student", assertion.DisjointIntegrable, "Faculty", ws.ObjectAssertions("sc1", "sc2")},
+		{"Majors", assertion.Equals, "Stud_major", ws.RelationshipAssertions("sc1", "sc2")},
 	}
 	for _, a := range asserts {
-		if err := it.Assert(a.o1, a.kind, a.o2); err != nil {
+		if err := a.eng.Assert(
+			assertion.ObjKey{Schema: "sc1", Object: a.o1},
+			assertion.ObjKey{Schema: "sc2", Object: a.o2}, a.kind); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := it.AssertRelationship("Majors", assertion.Equals, "Stud_major"); err != nil {
-		log.Fatal(err)
-	}
 
 	// Phase 4 — integration: Figure 5.
-	res, err := it.Integrate("")
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		log.Fatal(err)
 	}

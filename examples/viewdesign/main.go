@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecr"
 	"repro/internal/mapping"
+	"repro/internal/session"
 )
 
 const registrarView = `
@@ -56,16 +57,25 @@ func main() {
 	hou, err := ecr.ParseSchema(housingView)
 	check(err)
 
-	it, err := core.New(reg, hou)
-	check(err)
+	ws := session.NewWorkspace()
+	check(ws.AddSchema(reg))
+	check(ws.AddSchema(hou))
 	// Schema analysis: student ids and names correspond.
-	check(it.DeclareEquivalent("Student.Sid", "Resident.Sid"))
-	check(it.DeclareEquivalent("Student.Name", "Resident.Name"))
+	for _, attr := range []string{"Sid", "Name"} {
+		a, err := core.ResolveAttr(reg, "Student."+attr)
+		check(err)
+		b, err := core.ResolveAttr(hou, "Resident."+attr)
+		check(err)
+		check(ws.Registry().Declare(a, b))
+	}
 	// Every resident is a student, but not every student lives on
 	// campus: Resident is contained in Student.
-	check(it.Assert("Student", assertion.Contains, "Resident"))
+	check(ws.ObjectAssertions(reg.Name, hou.Name).Assert(
+		assertion.ObjKey{Schema: reg.Name, Object: "Student"},
+		assertion.ObjKey{Schema: hou.Name, Object: "Resident"},
+		assertion.Contains))
 
-	res, err := it.Integrate("campus")
+	res, err := ws.Integrate(reg.Name, hou.Name, "campus")
 	check(err)
 
 	fmt.Println("--- logical schema from the two views ---")

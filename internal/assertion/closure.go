@@ -229,21 +229,3 @@ func (s *Set) canonicalizeTraces(result *CloseResult, supports map[pairID][]int3
 		}
 	}
 }
-
-// AssertAndClose records the assertion and immediately recomputes the
-// closure, mirroring the tool's behaviour of deriving and checking "at the
-// same time assertions are [specified]". It returns the closure result; if
-// the direct assertion itself conflicts, that conflict is the first element
-// of Conflicts and the matrix is left unchanged.
-func (s *Set) AssertAndClose(a, b ObjKey, kind Kind) CloseResult {
-	if err := s.Assert(a, b, kind); err != nil {
-		if c, ok := err.(*Conflict); ok {
-			return CloseResult{Conflicts: []*Conflict{c}}
-		}
-		return CloseResult{Conflicts: []*Conflict{{
-			Existing: Entry{},
-			Proposed: Statement{A: a, B: b, Kind: kind},
-		}}}
-	}
-	return s.Close()
-}

@@ -208,20 +208,41 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestAssertAndClose: the engine closes on every assertion and reports a
+// contradiction in the returned result, whether the pair held it directly
+// or the closure derived it.
 func TestAssertAndClose(t *testing.T) {
-	s := NewSet()
-	res := s.AssertAndClose(key("s1", "A"), key("s2", "B"), Equals)
+	e := NewEngine()
+	res := e.AssertAndClose(key("s1", "A"), key("s2", "B"), Equals)
 	if !res.Consistent() {
 		t.Fatal(res.Conflicts)
 	}
-	res = s.AssertAndClose(key("s2", "B"), key("s1", "C"), Equals)
+	res = e.AssertAndClose(key("s2", "B"), key("s1", "C"), Equals)
 	if !res.Consistent() || len(res.Derived) != 1 {
 		t.Fatalf("res = %+v", res)
 	}
 	// A conflicting direct assertion comes back as the first conflict.
-	res = s.AssertAndClose(key("s1", "A"), key("s2", "B"), DisjointNonintegrable)
+	res = e.AssertAndClose(key("s1", "A"), key("s2", "B"), DisjointNonintegrable)
 	if res.Consistent() {
 		t.Fatal("expected conflict")
+	}
+	// A contradiction only the closure sees: the pair (Y, B) holds
+	// nothing, but Y inside B = A, which is disjoint from X, cannot
+	// contain X.
+	for _, st := range []Statement{
+		{A: key("s1", "A"), B: key("s2", "X"), Kind: DisjointNonintegrable},
+		{A: key("s1", "Y"), B: key("s2", "X"), Kind: Contains},
+	} {
+		if res := e.AssertAndClose(st.A, st.B, st.Kind); !res.Consistent() {
+			t.Fatal(res.Conflicts)
+		}
+	}
+	if _, held := e.Entry(key("s1", "Y"), key("s2", "B")); held {
+		t.Fatal("(Y, B) should hold no entry yet")
+	}
+	res = e.AssertAndClose(key("s1", "Y"), key("s2", "B"), ContainedIn)
+	if res.Consistent() || e.Consistent() {
+		t.Fatal("expected the derived conflict")
 	}
 }
 

@@ -135,16 +135,18 @@ func (e *Engine) rebuild() CloseResult {
 
 // Assert records that A <kind> B and incrementally closes the matrix. The
 // error is a *Conflict when the pair already holds a contradicting entry
-// (the matrix is left unchanged), mirroring Set.Assert.
+// (the matrix is left unchanged), as with Set.Assert. A contradiction the
+// closure derives is not an error: it shows in Consistent and Conflicts.
 func (e *Engine) Assert(a, b ObjKey, kind Kind) error {
 	_, err := e.assert(a, b, kind)
 	return err
 }
 
 // AssertAndClose records the assertion and returns the closure delta: the
-// entries this operation derived and the matrix's standing conflicts. A
-// direct conflict is the first element of Conflicts and leaves the matrix
-// unchanged, mirroring Set.AssertAndClose.
+// entries this operation derived and the matrix's standing conflicts, so a
+// caller sees a contradiction the closure derives as well as a direct one.
+// A direct conflict is the first element of Conflicts and leaves the
+// matrix unchanged.
 func (e *Engine) AssertAndClose(a, b ObjKey, kind Kind) CloseResult {
 	res, err := e.assert(a, b, kind)
 	if err != nil {

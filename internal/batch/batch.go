@@ -35,6 +35,7 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/integrate"
 	"repro/internal/resemblance"
+	"repro/internal/session"
 )
 
 // AssertLine is one assertion statement of a spec.
@@ -127,7 +128,10 @@ func ParseSpec(src string) (*Spec, error) {
 	return spec, nil
 }
 
-// Run executes the spec against the given schemas.
+// Run executes the spec against the given schemas on a fresh
+// session.Workspace holding the pair. An assertion naming a structure its
+// schema lacks is an error, and the first conflict the closure meets comes
+// back as a *assertion.Conflict.
 func Run(schemas []*ecr.Schema, spec *Spec) (*integrate.Result, error) {
 	find := func(name string) *ecr.Schema {
 		for _, s := range schemas {
@@ -144,9 +148,14 @@ func Run(schemas []*ecr.Schema, spec *Spec) (*integrate.Result, error) {
 	if s2 == nil {
 		return nil, fmt.Errorf("batch: schema %q not found", spec.Schema2)
 	}
-	it, err := core.New(s1, s2)
-	if err != nil {
-		return nil, err
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		if err := ws.AddSchema(s); err != nil {
+			return nil, err
+		}
 	}
 	if spec.AutoThreshold > 0 {
 		dict := spec.Dict
@@ -155,24 +164,50 @@ func Run(schemas []*ecr.Schema, spec *Spec) (*integrate.Result, error) {
 		}
 		cands := resemblance.SuggestEquivalences(s1, s2,
 			resemblance.DefaultWeights(), dict, spec.AutoThreshold)
-		resemblance.ApplySuggestions(it.Registry(), cands)
+		resemblance.ApplySuggestions(ws.Registry(), cands)
 	}
 	for _, pair := range spec.Equivalences {
-		if err := it.DeclareEquivalent(pair[0], pair[1]); err != nil {
+		a, err := core.ResolveAttr(s1, pair[0])
+		if err != nil {
+			return nil, err
+		}
+		b, err := core.ResolveAttr(s2, pair[1])
+		if err != nil {
+			return nil, err
+		}
+		if err := ws.Registry().Declare(a, b); err != nil {
 			return nil, err
 		}
 	}
-	for _, a := range spec.ObjectAsserts {
+	isObject := func(s *ecr.Schema, name string) bool { return s.Object(name) != nil }
+	isRel := func(s *ecr.Schema, name string) bool { return s.Relationship(name) != nil }
+	if err := assertAll(ws.ObjectAssertions(s1.Name, s2.Name), s1, s2, spec.ObjectAsserts, isObject, "object class"); err != nil {
+		return nil, err
+	}
+	if err := assertAll(ws.RelationshipAssertions(s1.Name, s2.Name), s1, s2, spec.RelAsserts, isRel, "relationship set"); err != nil {
+		return nil, err
+	}
+	return ws.Integrate(s1.Name, s2.Name, spec.Name)
+}
+
+// assertAll states each line on the engine in spec order, an object of s1
+// against one of s2, and returns the first conflict the closure meets as a
+// *assertion.Conflict.
+func assertAll(eng *assertion.Engine, s1, s2 *ecr.Schema, lines []AssertLine, has func(*ecr.Schema, string) bool, what string) error {
+	for _, a := range lines {
+		if !has(s1, a.Object1) {
+			return fmt.Errorf("batch: schema %s has no %s %q", s1.Name, what, a.Object1)
+		}
+		if !has(s2, a.Object2) {
+			return fmt.Errorf("batch: schema %s has no %s %q", s2.Name, what, a.Object2)
+		}
 		kind, _ := assertion.KindFromCode(a.Code)
-		if err := it.Assert(a.Object1, kind, a.Object2); err != nil {
-			return nil, err
+		res := eng.AssertAndClose(
+			assertion.ObjKey{Schema: s1.Name, Object: a.Object1},
+			assertion.ObjKey{Schema: s2.Name, Object: a.Object2}, kind)
+		if !res.Consistent() {
+			return res.Conflicts[0]
 		}
 	}
-	for _, a := range spec.RelAsserts {
-		kind, _ := assertion.KindFromCode(a.Code)
-		if err := it.AssertRelationship(a.Object1, kind, a.Object2); err != nil {
-			return nil, err
-		}
-	}
-	return it.Integrate(spec.Name)
+	return nil
 }

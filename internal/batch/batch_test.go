@@ -3,6 +3,7 @@ package batch
 import (
 	"testing"
 
+	"repro/internal/assertion"
 	"repro/internal/ecr"
 	"repro/internal/errtest"
 	"repro/internal/paperex"
@@ -170,6 +171,61 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run([]*ecr.Schema{paperex.Sc1(), paperex.Sc2()}, spec3); err == nil {
 		t.Error("unknown equivalence target should fail")
+	}
+	// Each assertion side must name a structure of its own schema.
+	for _, src := range []string{
+		"assert Student 1 Nope",
+		"assert Student 1 Student", // sc2 has no Student
+		"rel-assert Nope 1 Works",
+		"rel-assert Majors 1 Nope",
+		"rel-assert Student 1 Works", // an object class, not a relationship set
+	} {
+		spec, err := ParseSpec("schemas sc1 sc2\n" + src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run([]*ecr.Schema{paperex.Sc1(), paperex.Sc2()}, spec); !errtest.Contains(err, "has no") {
+			t.Errorf("%s: err = %v, want an unknown-structure error", src, err)
+		}
+	}
+}
+
+func TestRunValidatesSchemas(t *testing.T) {
+	spec, err := ParseSpec("schemas sc1 bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := ecr.NewSchema("bad")
+	bad.Objects = []*ecr.ObjectClass{{Name: "C", Kind: ecr.KindCategory}}
+	if _, err := Run([]*ecr.Schema{paperex.Sc1(), bad}, spec); err == nil {
+		t.Error("invalid schema should fail")
+	}
+	same, err := ParseSpec("schemas sc1 sc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run([]*ecr.Schema{paperex.Sc1()}, same); err == nil {
+		t.Error("a schema paired with itself should fail")
+	}
+}
+
+func TestRunConflictSurfacesAsError(t *testing.T) {
+	for _, src := range []string{
+		// Direct: the pair already holds "contains".
+		"assert Student 3 Grad_student\nassert Student 0 Grad_student",
+		// Derived: Department(sc1) = Department(sc2) = Student, which
+		// contains Grad_student, yet Department(sc1) is declared disjoint
+		// from Grad_student.
+		"assert Department 1 Department\nassert Student 3 Grad_student\nassert Department 0 Grad_student\nassert Student 1 Department",
+	} {
+		spec, err := ParseSpec("schemas sc1 sc2\n" + src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run([]*ecr.Schema{paperex.Sc1(), paperex.Sc2()}, spec)
+		if _, ok := err.(*assertion.Conflict); !ok {
+			t.Errorf("%q: want *assertion.Conflict, got %v", src, err)
+		}
 	}
 }
 

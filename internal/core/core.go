@@ -1,89 +1,17 @@
-// Package core is the programmatic facade over the schema integration
-// methodology: it strings the four phases of the paper — schema collection,
-// schema analysis (attribute equivalences), assertion specification and
-// integration — into one Integration value with a small, documented API.
-// The interactive tool (internal/session) and the batch tool (cmd/sit-batch)
-// are thin drivers over this package.
+// Package core resolves the DDA's "object.attribute" references against a
+// component schema. The pairwise integration state itself — schemas,
+// attribute equivalence classes and assertion matrices — lives in
+// session.Workspace; callers that declare an equivalence resolve both
+// references here and pass the results to the workspace registry's
+// Declare.
 package core
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/assertion"
 	"repro/internal/ecr"
-	"repro/internal/equivalence"
-	"repro/internal/integrate"
-	"repro/internal/resemblance"
-	"repro/internal/similarity"
 )
-
-// Integration is one pairwise integration in progress: two component
-// schemas, the declared attribute equivalences, and the assertions
-// collected so far.
-type Integration struct {
-	s1, s2   *ecr.Schema
-	registry *equivalence.Registry
-	sim      *similarity.Engine
-	objects  *assertion.Set
-	rels     *assertion.Set
-}
-
-// New starts an integration of the two component schemas. Both schemas are
-// validated; their attributes are registered in the equivalence registry.
-func New(s1, s2 *ecr.Schema) (*Integration, error) {
-	if s1 == nil || s2 == nil {
-		return nil, fmt.Errorf("core: both schemas are required")
-	}
-	if err := s1.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s2.Validate(); err != nil {
-		return nil, err
-	}
-	if s1.Name == s2.Name {
-		return nil, fmt.Errorf("core: schemas share the name %q", s1.Name)
-	}
-	reg := equivalence.NewRegistry()
-	reg.RegisterSchema(s1)
-	reg.RegisterSchema(s2)
-	return &Integration{
-		s1: s1, s2: s2,
-		registry: reg,
-		sim:      similarity.Attach(reg),
-		objects:  assertion.NewSet(),
-		rels:     assertion.NewSet(),
-	}, nil
-}
-
-// Schemas returns the two component schemas.
-func (it *Integration) Schemas() (*ecr.Schema, *ecr.Schema) { return it.s1, it.s2 }
-
-// Registry exposes the attribute equivalence registry.
-func (it *Integration) Registry() *equivalence.Registry { return it.registry }
-
-// ObjectAssertions exposes the Entity Assertion matrix for object classes.
-func (it *Integration) ObjectAssertions() *assertion.Set { return it.objects }
-
-// RelationshipAssertions exposes the assertion matrix for relationship
-// sets.
-func (it *Integration) RelationshipAssertions() *assertion.Set { return it.rels }
-
-// DeclareEquivalent places the named attributes (given as
-// "object.attribute" within each schema) in one equivalence class. The
-// first reference is resolved against the first schema, the second against
-// the second.
-func (it *Integration) DeclareEquivalent(ref1, ref2 string) error {
-	a, err := ResolveAttr(it.s1, ref1)
-	if err != nil {
-		return err
-	}
-	b, err := ResolveAttr(it.s2, ref2)
-	if err != nil {
-		return err
-	}
-	return it.registry.Declare(a, b)
-}
 
 // ResolveAttr resolves an "object.attribute" reference against a schema,
 // producing the fully qualified AttrRef.
@@ -106,67 +34,4 @@ func ResolveAttr(s *ecr.Schema, ref string) (ecr.AttrRef, error) {
 		return ecr.AttrRef{Schema: s.Name, Object: object, Kind: ecr.KindRelationship, Attr: attr}, nil
 	}
 	return ecr.AttrRef{}, fmt.Errorf("core: schema %s has no structure %q", s.Name, object)
-}
-
-// RankedObjectPairs returns the object-class pairs ordered by the
-// resemblance function, as the Assertion Collection screen presents them.
-// The ranking runs on the sparse similarity engine; its output is identical
-// to resemblance.RankObjects on the same inputs.
-func (it *Integration) RankedObjectPairs() []resemblance.Pair {
-	return it.sim.RankObjects(it.s1, it.s2)
-}
-
-// RankedRelationshipPairs ranks the relationship-set pairs.
-func (it *Integration) RankedRelationshipPairs() []resemblance.Pair {
-	return it.sim.RankRelationships(it.s1, it.s2)
-}
-
-// Assert records an object-class assertion: object1 of the first schema
-// <kind> object2 of the second. The matrix is closed immediately and the
-// first conflict, if any, is returned as a *assertion.Conflict error.
-func (it *Integration) Assert(object1 string, kind assertion.Kind, object2 string) error {
-	if it.s1.Object(object1) == nil {
-		return fmt.Errorf("core: schema %s has no object class %q", it.s1.Name, object1)
-	}
-	if it.s2.Object(object2) == nil {
-		return fmt.Errorf("core: schema %s has no object class %q", it.s2.Name, object2)
-	}
-	return closeAfter(it.objects,
-		assertion.ObjKey{Schema: it.s1.Name, Object: object1},
-		assertion.ObjKey{Schema: it.s2.Name, Object: object2}, kind)
-}
-
-// AssertRelationship records a relationship-set assertion, closing the
-// matrix immediately.
-func (it *Integration) AssertRelationship(rel1 string, kind assertion.Kind, rel2 string) error {
-	if it.s1.Relationship(rel1) == nil {
-		return fmt.Errorf("core: schema %s has no relationship set %q", it.s1.Name, rel1)
-	}
-	if it.s2.Relationship(rel2) == nil {
-		return fmt.Errorf("core: schema %s has no relationship set %q", it.s2.Name, rel2)
-	}
-	return closeAfter(it.rels,
-		assertion.ObjKey{Schema: it.s1.Name, Object: rel1},
-		assertion.ObjKey{Schema: it.s2.Name, Object: rel2}, kind)
-}
-
-func closeAfter(set *assertion.Set, a, b assertion.ObjKey, kind assertion.Kind) error {
-	res := set.AssertAndClose(a, b, kind)
-	if !res.Consistent() {
-		return res.Conflicts[0]
-	}
-	return nil
-}
-
-// Integrate runs the integration phase and returns the integrated schema,
-// the mappings and the integration report. An empty name uses the default
-// "INT_<s1>_<s2>".
-func (it *Integration) Integrate(name string) (*integrate.Result, error) {
-	return integrate.Integrate(integrate.Input{
-		S1: it.s1, S2: it.s2,
-		Registry:      it.registry,
-		Objects:       it.objects,
-		Relationships: it.rels,
-		Name:          name,
-	})
 }

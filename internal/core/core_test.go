@@ -3,62 +3,33 @@ package core
 import (
 	"testing"
 
-	"repro/internal/assertion"
 	"repro/internal/ecr"
 	"repro/internal/errtest"
 	"repro/internal/paperex"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
-		t.Error("nil schemas should fail")
-	}
-	if _, err := New(paperex.Sc1(), paperex.Sc1()); err == nil {
-		t.Error("same-named schemas should fail")
-	}
-	bad := ecr.NewSchema("bad")
-	bad.Objects = []*ecr.ObjectClass{{Name: "C", Kind: ecr.KindCategory}}
-	if _, err := New(paperex.Sc1(), bad); err == nil {
-		t.Error("invalid schema should fail")
-	}
-}
-
-func TestNewRegistersAttributes(t *testing.T) {
-	it, err := New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// sc1 has 4 attributes, sc2 has 9.
-	if got := it.Registry().Len(); got != 13 {
-		t.Errorf("registered attributes = %d, want 13", got)
-	}
-	s1, s2 := it.Schemas()
-	if s1.Name != "sc1" || s2.Name != "sc2" {
-		t.Errorf("schemas = %s, %s", s1.Name, s2.Name)
-	}
-}
-
+// TestDeclareEquivalentErrors: an equivalence declaration fails exactly
+// when one of its "object.attribute" references does not resolve.
 func TestDeclareEquivalentErrors(t *testing.T) {
-	it, err := New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ r1, r2, substr string }{
-		{"Student", "Grad_student.Name", "want object.attribute"},
-		{"Student.Nope", "Grad_student.Name", "no attribute"},
-		{"Nope.Name", "Grad_student.Name", "no structure"},
-		{"Student.Name", "Grad_student.Nope", "no attribute"},
-		{"Student.", "Grad_student.Name", "want object.attribute"},
+	s1, s2 := paperex.Sc1(), paperex.Sc2()
+	cases := []struct {
+		s      *ecr.Schema
+		ref    string
+		substr string
+	}{
+		{s1, "Student", "want object.attribute"},
+		{s1, "Student.", "want object.attribute"},
+		{s1, ".Name", "want object.attribute"},
+		{s1, "Student.Nope", "no attribute"},
+		{s1, "Nope.Name", "no structure"},
+		{s2, "Grad_student.Nope", "no attribute"},
+		{s1, "Majors.Nope", "no attribute"},
 	}
 	for _, c := range cases {
-		err := it.DeclareEquivalent(c.r1, c.r2)
+		_, err := ResolveAttr(c.s, c.ref)
 		if !errtest.Contains(err, c.substr) {
-			t.Errorf("DeclareEquivalent(%s, %s) = %v, want %q", c.r1, c.r2, err, c.substr)
+			t.Errorf("ResolveAttr(%s, %q) = %v, want %q", c.s.Name, c.ref, err, c.substr)
 		}
-	}
-	// Relationship attributes resolve too.
-	if err := it.DeclareEquivalent("Majors.Since", "Stud_major.Since"); err != nil {
-		t.Errorf("relationship attr: %v", err)
 	}
 }
 
@@ -74,76 +45,5 @@ func TestResolveAttr(t *testing.T) {
 	ref, err = ResolveAttr(s, "Majors.Since")
 	if err != nil || ref.Kind != ecr.KindRelationship {
 		t.Errorf("relationship ref = %+v, %v", ref, err)
-	}
-}
-
-func TestAssertErrors(t *testing.T) {
-	it, err := New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Assert("Nope", assertion.Equals, "Faculty"); err == nil {
-		t.Error("unknown object1 should fail")
-	}
-	if err := it.Assert("Student", assertion.Equals, "Nope"); err == nil {
-		t.Error("unknown object2 should fail")
-	}
-	if err := it.AssertRelationship("Nope", assertion.Equals, "Works"); err == nil {
-		t.Error("unknown relationship1 should fail")
-	}
-	if err := it.AssertRelationship("Majors", assertion.Equals, "Nope"); err == nil {
-		t.Error("unknown relationship2 should fail")
-	}
-}
-
-func TestAssertConflictSurfacesAsError(t *testing.T) {
-	it, err := New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Assert("Student", assertion.Equals, "Grad_student"); err != nil {
-		t.Fatal(err)
-	}
-	err = it.Assert("Student", assertion.DisjointNonintegrable, "Grad_student")
-	if _, ok := err.(*assertion.Conflict); !ok {
-		t.Errorf("want *assertion.Conflict, got %v", err)
-	}
-}
-
-func TestRankedPairsExposed(t *testing.T) {
-	it, err := New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.DeclareEquivalent("Student.Name", "Grad_student.Name"); err != nil {
-		t.Fatal(err)
-	}
-	objs := it.RankedObjectPairs()
-	if len(objs) != 6 {
-		t.Errorf("object pairs = %d", len(objs))
-	}
-	if objs[0].Object1 != "Student" || objs[0].Object2 != "Grad_student" {
-		t.Errorf("top pair = %+v", objs[0])
-	}
-	rels := it.RankedRelationshipPairs()
-	if len(rels) != 2 {
-		t.Errorf("relationship pairs = %d", len(rels))
-	}
-}
-
-func TestIntegrateNamed(t *testing.T) {
-	it, err := New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := it.Integrate("custom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schema.Name != "custom" {
-		t.Errorf("name = %q", res.Schema.Name)
-	}
-	if it.ObjectAssertions() == nil || it.RelationshipAssertions() == nil {
-		t.Error("assertion accessors nil")
 	}
 }

@@ -10,13 +10,17 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/mapping"
 	"repro/internal/paperex"
+	"repro/internal/session"
 )
 
 func paperStores(t testing.TB) (*Store, *Store, *integrate.Result) {
 	t.Helper()
-	it, err := core.New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
+	s1, s2 := paperex.Sc1(), paperex.Sc2()
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, p := range [][2]string{
 		{"Student.Name", "Grad_student.Name"},
@@ -25,9 +29,33 @@ func paperStores(t testing.TB) (*Store, *Store, *integrate.Result) {
 		{"Department.Dname", "Department.Dname"},
 		{"Majors.Since", "Stud_major.Since"},
 	} {
-		if err := it.DeclareEquivalent(p[0], p[1]); err != nil {
+		a, err := core.ResolveAttr(s1, p[0])
+		if err != nil {
 			t.Fatal(err)
 		}
+		b, err := core.ResolveAttr(s2, p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Registry().Declare(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assert := func(eng *assertion.Engine, o1 string, kind assertion.Kind, o2 string) {
+		t.Helper()
+		if err := eng.Assert(assertion.ObjKey{Schema: "sc1", Object: o1},
+			assertion.ObjKey{Schema: "sc2", Object: o2}, kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objs := ws.ObjectAssertions("sc1", "sc2")
+	assert(objs, "Department", assertion.Equals, "Department")
+	assert(objs, "Student", assertion.Contains, "Grad_student")
+	assert(objs, "Student", assertion.DisjointIntegrable, "Faculty")
+	assert(ws.RelationshipAssertions("sc1", "sc2"), "Majors", assertion.Equals, "Stud_major")
+	res, err := ws.Integrate("sc1", "sc2", "")
+	if err != nil {
+		t.Fatal(err)
 	}
 	must := func(err error) {
 		t.Helper()
@@ -35,16 +63,6 @@ func paperStores(t testing.TB) (*Store, *Store, *integrate.Result) {
 			t.Fatal(err)
 		}
 	}
-	must(it.Assert("Department", assertion.Equals, "Department"))
-	must(it.Assert("Student", assertion.Contains, "Grad_student"))
-	must(it.Assert("Student", assertion.DisjointIntegrable, "Faculty"))
-	must(it.AssertRelationship("Majors", assertion.Equals, "Stud_major"))
-	res, err := it.Integrate("")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s1, s2 := it.Schemas()
 	st1, err := NewStore(s1)
 	must(err)
 	st2, err := NewStore(s2)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/integrate"
 	"repro/internal/paperex"
+	"repro/internal/session"
 )
 
 // integratePair runs a single-pair integration with a Name equivalence (and
@@ -15,20 +16,31 @@ import (
 // schema.
 func integratePair(t testing.TB, s1, s2 *ecr.Schema, kind assertion.Kind, equivPairs ...[2]string) *integrate.Result {
 	t.Helper()
-	it, err := core.New(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range equivPairs {
-		if err := it.DeclareEquivalent(p[0], p[1]); err != nil {
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	o1, o2 := s1.Objects[0].Name, s2.Objects[0].Name
-	if err := it.Assert(o1, kind, o2); err != nil {
-		t.Fatal(err)
+	for _, p := range equivPairs {
+		a, err := core.ResolveAttr(s1, p[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.ResolveAttr(s2, p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Registry().Declare(a, b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res, err := it.Integrate("")
+	o1 := assertion.ObjKey{Schema: s1.Name, Object: s1.Objects[0].Name}
+	o2 := assertion.ObjKey{Schema: s2.Name, Object: s2.Objects[0].Name}
+	if res := ws.ObjectAssertions(s1.Name, s2.Name).AssertAndClose(o1, o2, kind); !res.Consistent() {
+		t.Fatal(res.Conflicts[0])
+	}
+	res, err := ws.Integrate(s1.Name, s2.Name, "")
 	if err != nil {
 		t.Fatal(err)
 	}

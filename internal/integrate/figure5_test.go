@@ -9,6 +9,7 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/integrate"
 	"repro/internal/paperex"
+	"repro/internal/session"
 )
 
 // figure5 runs the paper's running example: integrating sc1 (Figure 3) and
@@ -16,9 +17,12 @@ import (
 // Screen 8, which must produce the integrated schema of Figure 5.
 func figure5(t testing.TB) *integrate.Result {
 	t.Helper()
-	it, err := core.New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
+	s1, s2 := paperex.Sc1(), paperex.Sc2()
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
+			t.Fatalf("AddSchema: %v", err)
+		}
 	}
 	// Screen 7: the equivalence classes. sc1.Student.Name,
 	// sc2.Grad_student.Name and sc2.Faculty.Name form one class; the
@@ -31,27 +35,36 @@ func figure5(t testing.TB) *integrate.Result {
 		{"Department.Dname", "Department.Dname"},
 		{"Majors.Since", "Stud_major.Since"},
 	} {
-		if err := it.DeclareEquivalent(pair[0], pair[1]); err != nil {
-			t.Fatalf("DeclareEquivalent(%s, %s): %v", pair[0], pair[1], err)
+		a, err := core.ResolveAttr(s1, pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.ResolveAttr(s2, pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Registry().Declare(a, b); err != nil {
+			t.Fatalf("Declare(%s, %s): %v", pair[0], pair[1], err)
+		}
+	}
+	assert := func(eng *assertion.Engine, o1 string, kind assertion.Kind, o2 string) {
+		t.Helper()
+		res := eng.AssertAndClose(assertion.ObjKey{Schema: "sc1", Object: o1},
+			assertion.ObjKey{Schema: "sc2", Object: o2}, kind)
+		if !res.Consistent() {
+			t.Fatalf("assert %s %s %s: %v", o1, kind, o2, res.Conflicts[0])
 		}
 	}
 	// Screen 8: the assertions. Department equals Department (1),
 	// Student contains Grad_student (3), Student and Faculty disjoint
 	// but integrable (4).
-	if err := it.Assert("Department", assertion.Equals, "Department"); err != nil {
-		t.Fatalf("assert equals: %v", err)
-	}
-	if err := it.Assert("Student", assertion.Contains, "Grad_student"); err != nil {
-		t.Fatalf("assert contains: %v", err)
-	}
-	if err := it.Assert("Student", assertion.DisjointIntegrable, "Faculty"); err != nil {
-		t.Fatalf("assert disjoint-integrable: %v", err)
-	}
+	objs := ws.ObjectAssertions("sc1", "sc2")
+	assert(objs, "Department", assertion.Equals, "Department")
+	assert(objs, "Student", assertion.Contains, "Grad_student")
+	assert(objs, "Student", assertion.DisjointIntegrable, "Faculty")
 	// The relationship subphase: Majors equals Stud_major.
-	if err := it.AssertRelationship("Majors", assertion.Equals, "Stud_major"); err != nil {
-		t.Fatalf("assert relationship equals: %v", err)
-	}
-	res, err := it.Integrate("")
+	assert(ws.RelationshipAssertions("sc1", "sc2"), "Majors", assertion.Equals, "Stud_major")
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatalf("Integrate: %v", err)
 	}

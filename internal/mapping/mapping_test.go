@@ -9,15 +9,19 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/mapping"
 	"repro/internal/paperex"
+	"repro/internal/session"
 )
 
 // paperResult builds the paper's sc1+sc2 integration and returns the
 // integrated schema and mapping table.
 func paperResult(t testing.TB) (*ecr.Schema, *mapping.Table) {
 	t.Helper()
-	it, err := core.New(paperex.Sc1(), paperex.Sc2())
-	if err != nil {
-		t.Fatal(err)
+	s1, s2 := paperex.Sc1(), paperex.Sc2()
+	ws := session.NewWorkspace()
+	for _, s := range []*ecr.Schema{s1, s2} {
+		if err := ws.AddSchema(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, p := range [][2]string{
 		{"Student.Name", "Grad_student.Name"},
@@ -26,23 +30,31 @@ func paperResult(t testing.TB) (*ecr.Schema, *mapping.Table) {
 		{"Department.Dname", "Department.Dname"},
 		{"Majors.Since", "Stud_major.Since"},
 	} {
-		if err := it.DeclareEquivalent(p[0], p[1]); err != nil {
+		a, err := core.ResolveAttr(s1, p[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.ResolveAttr(s2, p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Registry().Declare(a, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := it.Assert("Department", assertion.Equals, "Department"); err != nil {
-		t.Fatal(err)
+	assert := func(eng *assertion.Engine, o1 string, kind assertion.Kind, o2 string) {
+		t.Helper()
+		if err := eng.Assert(assertion.ObjKey{Schema: "sc1", Object: o1},
+			assertion.ObjKey{Schema: "sc2", Object: o2}, kind); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := it.Assert("Student", assertion.Contains, "Grad_student"); err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Assert("Student", assertion.DisjointIntegrable, "Faculty"); err != nil {
-		t.Fatal(err)
-	}
-	if err := it.AssertRelationship("Majors", assertion.Equals, "Stud_major"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := it.Integrate("")
+	objs := ws.ObjectAssertions("sc1", "sc2")
+	assert(objs, "Department", assertion.Equals, "Department")
+	assert(objs, "Student", assertion.Contains, "Grad_student")
+	assert(objs, "Student", assertion.DisjointIntegrable, "Faculty")
+	assert(ws.RelationshipAssertions("sc1", "sc2"), "Majors", assertion.Equals, "Stud_major")
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type Store struct {
 	gen uint64             // guarded by mu
 	// results caches integrations keyed by sorted pair, valid for the
 	// generation at which they were computed.
-	results map[string]cachedResult // guarded by mu
+	results map[schemaPair]cachedResult // guarded by mu
 	// schemaGen counts schema additions and removals only. Together with
 	// the registry's version counter it stamps similarity-cache entries:
 	// assertions bump gen but neither of these, so rankings stay cached
@@ -142,7 +142,7 @@ func NewStore() *Store {
 func NewStoreFrom(ws *session.Workspace) *Store {
 	return &Store{
 		ws:           ws,
-		results:      map[string]cachedResult{},
+		results:      map[schemaPair]cachedResult{},
 		simCache:     map[simKey]simEntry{},
 		cloCache:     map[cloKey]cloEntry{},
 		integrations: map[string]*savedIntegration{},
@@ -244,11 +244,15 @@ func (st *Store) journal(op string, v any) error {
 	return st.persist(op, v)
 }
 
-func resultKey(a, b string) string {
+// schemaPair keys the result cache by unordered schema pair: a holds the
+// smaller name.
+type schemaPair struct{ a, b string }
+
+func resultKey(a, b string) schemaPair {
 	if b < a {
 		a, b = b, a
 	}
-	return a + "|" + b
+	return schemaPair{a, b}
 }
 
 // touch invalidates cached results; callers hold the write lock.
@@ -259,7 +263,7 @@ func resultKey(a, b string) string {
 //sit:locked mu
 func (st *Store) touch() {
 	st.gen++
-	st.results = map[string]cachedResult{}
+	st.results = map[schemaPair]cachedResult{}
 	regV := st.ws.Registry().Version()
 	st.simMu.Lock()
 	for k, e := range st.simCache {

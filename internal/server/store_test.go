@@ -245,6 +245,34 @@ func TestStoreIntegrateCachesPerGeneration(t *testing.T) {
 	}
 }
 
+// Schema names may contain '|': the pairs (a|b, c) and (a, b|c) must not
+// share a cached integration.
+func TestStoreIntegrateCacheKeysDoNotCollideOnPipe(t *testing.T) {
+	st := NewStore()
+	var schemas []*ecr.Schema
+	for _, name := range []string{"a|b", "c", "a", "b|c"} {
+		s := ecr.NewSchema(name)
+		if err := s.AddObject(&ecr.ObjectClass{Name: "X", Kind: ecr.KindEntity,
+			Attributes: []ecr.Attribute{{Name: "K", Domain: "int", Key: true}}}); err != nil {
+			t.Fatal(err)
+		}
+		schemas = append(schemas, s)
+	}
+	if _, err := st.AddSchemas(schemas); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Integrate("a|b", "c"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Integrate("a", "b|c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Schema.Name != "INT_a_b|c" {
+		t.Errorf("Integrate(a, b|c) = %q, want INT_a_b|c", res.Schema.Name)
+	}
+}
+
 func TestStoreRunSpec(t *testing.T) {
 	st := paperStore(t)
 	spec, err := os.ReadFile("../../testdata/paper.spec")

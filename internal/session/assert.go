@@ -87,7 +87,6 @@ func (s *Session) runAssertions(rel bool) {
 			}
 			s.notify(phase, fmt.Sprintf("retracted; %d entries removed, %d re-derived",
 				len(res.Removed), len(res.Rederived)))
-			s.ws.Invalidate()
 			continue
 		case "e", "x":
 			return
@@ -114,7 +113,6 @@ func (s *Session) runAssertions(rel bool) {
 		for _, c := range res.Conflicts {
 			s.resolveConflict(set, c)
 		}
-		s.ws.Invalidate()
 	}
 }
 

@@ -51,7 +51,6 @@ func (s *Session) runSchemaCollection() {
 				continue
 			}
 			s.editSchema(sc)
-			s.ws.Invalidate()
 		case "e", "x":
 			return
 		}

@@ -112,7 +112,6 @@ func (s *Session) editEquivalences(r1, r2 objRef) {
 			if err := reg.Declare(r1.attrRef(a1.Name), r2.attrRef(a2.Name)); err != nil {
 				s.notify(phase, err.Error())
 			}
-			s.ws.Invalidate()
 		case "d":
 			if len(fields) != 3 {
 				s.notify(phase, "usage: d <1|2> <attr#>")
@@ -128,7 +127,6 @@ func (s *Session) editEquivalences(r1, r2 objRef) {
 				continue
 			}
 			reg.Remove(target.attrRef(a.Name))
-			s.ws.Invalidate()
 		case "e", "x":
 			return
 		}

@@ -326,6 +326,67 @@ func TestResultsIntegrationConflictOffersResolution(t *testing.T) {
 	}
 }
 
+// A conflict on the relationship-set matrix is resolved on that matrix:
+// replacing it must not write relationship-set keys into the object-class
+// engine.
+func TestResultsResolvesRelationshipConflictOnItsEngine(t *testing.T) {
+	ws := NewWorkspace()
+	for _, ddl := range []string{`
+schema b1
+entity P { attr K: int key }
+entity Q { attr K: int key }
+relationship S (P (0,n), Q (0,n)) {}
+relationship V (P (0,n), Q (0,n)) {}
+`, `
+schema b2
+entity M { attr K: int key }
+entity N { attr K: int key }
+relationship T (M (0,n), N (0,n)) {}
+relationship W (M (0,n), N (0,n)) {}
+`} {
+		sc, err := ecr.ParseSchema(ddl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.AddSchema(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rels := ws.RelationshipAssertions("b1", "b2")
+	k1 := func(o string) assertion.ObjKey { return assertion.ObjKey{Schema: "b1", Object: o} }
+	k2 := func(o string) assertion.ObjKey { return assertion.ObjKey{Schema: "b2", Object: o} }
+	for _, a := range []struct {
+		o1   string
+		kind assertion.Kind
+		o2   string
+	}{
+		{"V", assertion.Contains, "W"},
+		{"V", assertion.DisjointNonintegrable, "T"},
+		{"S", assertion.MayBe, "T"},
+		{"S", assertion.Equals, "W"},
+	} {
+		if err := rels.Assert(k1(a.o1), k2(a.o2), a.kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rels.Consistent() {
+		t.Fatal("relationship matrix should be conflicted")
+	}
+	io := NewScriptIO("6", "b1", "b2", "r", "r", "r", "r", "x", "e")
+	if err := New(ws, io).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(io.ScreensContaining("Conflict")) == 0 {
+		t.Fatal("conflict resolution screen missing")
+	}
+	if !rels.Consistent() {
+		t.Errorf("replacing left the relationship matrix conflicted: %v", rels.Conflicts())
+	}
+	if objs := ws.ObjectAssertions("b1", "b2"); objs.Len() != 0 {
+		t.Errorf("object-class engine holds %d entries, want none:\n%s", objs.Len(), objs.Matrix(objs.Objects()))
+	}
+}
+
 func TestSessionWorkspaceAccessor(t *testing.T) {
 	ws := NewWorkspace()
 	s := New(ws, NewScriptIO())

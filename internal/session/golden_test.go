@@ -55,7 +55,7 @@ const goldenObjectClassScreen = `+----------------------------------------------
 
 func TestGoldenObjectClassScreen(t *testing.T) {
 	ws := paperWorkspace(t)
-	res, err := ws.Integrate("sc1", "sc2")
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,19 @@ func (s *Session) runResults() {
 	if !ok {
 		return
 	}
-	res, err := s.ws.Integrate(n1, n2)
+	res, err := s.ws.Integrate(n1, n2, "")
 	if err != nil {
 		if ie, isIE := err.(*integrate.Error); isIE && len(ie.Conflicts) > 0 {
+			// Integration reports the first inconsistent matrix, object
+			// classes before relationship sets; resolve on that engine.
+			set := s.ws.ObjectAssertions(n1, n2)
+			if set.Consistent() {
+				set = s.ws.RelationshipAssertions(n1, n2)
+			}
 			for _, c := range ie.Conflicts {
-				set := s.ws.ObjectAssertions(n1, n2)
 				s.resolveConflict(set, c)
 			}
-			s.ws.Invalidate()
-			res, err = s.ws.Integrate(n1, n2)
+			res, err = s.ws.Integrate(n1, n2, "")
 		}
 		if err != nil {
 			s.notify(phase, err.Error())

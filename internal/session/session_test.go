@@ -51,7 +51,7 @@ func TestPaperSessionBuildsSchemas(t *testing.T) {
 
 func TestPaperSessionIntegrates(t *testing.T) {
 	ws, _ := runPaperSession(t)
-	res, err := ws.Integrate("sc1", "sc2")
+	res, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatal(err)
 	}

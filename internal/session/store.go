@@ -4,7 +4,10 @@
 // against a real terminal (cmd/sit) and against scripted input in tests and
 // benchmarks. The Workspace holds the tool's bookkeeping — schemas,
 // attribute equivalence classes and assertion matrices — and persists to a
-// JSON file between runs.
+// JSON file between runs. It is the one pairwise integration state: the
+// batch runner and the server's Store drive it too. It caches no
+// integration result; Integrate computes from the current state on every
+// call.
 package session
 
 import (
@@ -28,23 +31,30 @@ type Workspace struct {
 	// sim is the sparse similarity engine over registry, maintained
 	// incrementally through the registry's observer hooks.
 	sim *similarity.Engine
-	// Assertion closure engines per schema pair, keyed by sorted pair
-	// name. Each engine maintains its matrix and transitive closure
-	// incrementally.
-	objAsserts map[string]*assertion.Engine
-	relAsserts map[string]*assertion.Engine
-	// results caches integration outcomes per pair for the viewing
-	// screens; not persisted (recomputed on demand).
-	results map[string]*integrate.Result
+	// Assertion closure engines per schema pair. Each engine maintains
+	// its matrix and transitive closure incrementally.
+	objAsserts map[pair]*assertion.Engine
+	relAsserts map[pair]*assertion.Engine
 }
+
+// pair names an unordered schema pair: a holds the smaller name.
+type pair struct{ a, b string }
+
+func pairOf(s1, s2 string) pair {
+	if s2 < s1 {
+		s1, s2 = s2, s1
+	}
+	return pair{s1, s2}
+}
+
+func (p pair) has(name string) bool { return p.a == name || p.b == name }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
 	w := &Workspace{
 		registry:   equivalence.NewRegistry(),
-		objAsserts: map[string]*assertion.Engine{},
-		relAsserts: map[string]*assertion.Engine{},
-		results:    map[string]*integrate.Result{},
+		objAsserts: map[pair]*assertion.Engine{},
+		relAsserts: map[pair]*assertion.Engine{},
 	}
 	w.sim = similarity.Attach(w.registry)
 	return w
@@ -82,16 +92,15 @@ func (w *Workspace) RemoveSchema(name string) bool {
 		if s.Name == name {
 			w.schemas = append(w.schemas[:i], w.schemas[i+1:]...)
 			for key := range w.objAsserts {
-				if pairHasSchema(key, name) {
+				if key.has(name) {
 					delete(w.objAsserts, key)
 				}
 			}
 			for key := range w.relAsserts {
-				if pairHasSchema(key, name) {
+				if key.has(name) {
 					delete(w.relAsserts, key)
 				}
 			}
-			w.invalidate(name)
 			return true
 		}
 	}
@@ -116,31 +125,10 @@ func (w *Workspace) RankRelationships(s1, s2 *ecr.Schema) []resemblance.Pair {
 	return w.sim.RankRelationships(s1, s2)
 }
 
-func pairKey(a, b string) string {
-	if b < a {
-		a, b = b, a
-	}
-	return a + "|" + b
-}
-
-func pairHasSchema(key, name string) bool {
-	for i := 0; i+len(name) <= len(key); i++ {
-		if key[i:i+len(name)] == name {
-			boundL := i == 0 || key[i-1] == '|'
-			end := i + len(name)
-			boundR := end == len(key) || key[end] == '|'
-			if boundL && boundR {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ObjectAssertions returns (creating if needed) the object-class assertion
 // engine for a schema pair.
 func (w *Workspace) ObjectAssertions(s1, s2 string) *assertion.Engine {
-	key := pairKey(s1, s2)
+	key := pairOf(s1, s2)
 	if w.objAsserts[key] == nil {
 		w.objAsserts[key] = assertion.NewEngine()
 	}
@@ -150,48 +138,28 @@ func (w *Workspace) ObjectAssertions(s1, s2 string) *assertion.Engine {
 // RelationshipAssertions returns (creating if needed) the relationship-set
 // assertion engine for a schema pair.
 func (w *Workspace) RelationshipAssertions(s1, s2 string) *assertion.Engine {
-	key := pairKey(s1, s2)
+	key := pairOf(s1, s2)
 	if w.relAsserts[key] == nil {
 		w.relAsserts[key] = assertion.NewEngine()
 	}
 	return w.relAsserts[key]
 }
 
-// invalidate drops cached integration results touching the named schema.
-func (w *Workspace) invalidate(name string) {
-	for key := range w.results {
-		if pairHasSchema(key, name) {
-			delete(w.results, key)
-		}
-	}
-}
-
-// Integrate runs (or returns the cached) integration of the pair.
-func (w *Workspace) Integrate(s1, s2 string) (*integrate.Result, error) {
-	key := pairKey(s1, s2)
-	if res := w.results[key]; res != nil {
-		return res, nil
-	}
+// Integrate runs the integration phase on the pair's current state and
+// returns the integrated schema, the mappings and the integration report.
+// An empty name uses the default "INT_<s1>_<s2>".
+func (w *Workspace) Integrate(s1, s2, name string) (*integrate.Result, error) {
 	a, b := w.Schema(s1), w.Schema(s2)
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("session: unknown schema in pair %s/%s", s1, s2)
 	}
-	res, err := integrate.Integrate(integrate.Input{
+	return integrate.Integrate(integrate.Input{
 		S1: a, S2: b,
 		Registry:      w.registry,
 		Objects:       w.ObjectAssertions(s1, s2).Set(),
 		Relationships: w.RelationshipAssertions(s1, s2).Set(),
+		Name:          name,
 	})
-	if err != nil {
-		return nil, err
-	}
-	w.results[key] = res
-	return res, nil
-}
-
-// Invalidate drops every cached integration result (after edits).
-func (w *Workspace) Invalidate() {
-	w.results = map[string]*integrate.Result{}
 }
 
 // --- persistence ---
@@ -220,12 +188,16 @@ func Marshal(w *Workspace) ([]byte, error) {
 		Schemas:      w.schemas,
 		Equivalences: w.registry.Classes(),
 	}
-	collect := func(sets map[string]*assertion.Engine) []storedAssertion {
-		var keys []string
+	collect := func(sets map[pair]*assertion.Engine) []storedAssertion {
+		var keys []pair
 		for k := range sets {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		// Pairs keep the order of their joined "a|b" names, the order
+		// snapshots have always been written in.
+		sort.Slice(keys, func(i, j int) bool {
+			return keys[i].a+"|"+keys[i].b < keys[j].a+"|"+keys[j].b
+		})
 		var out []storedAssertion
 		for _, k := range keys {
 			for _, e := range sets[k].Entries() {

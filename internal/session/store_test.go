@@ -1,8 +1,10 @@
 package session
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/assertion"
@@ -67,6 +69,10 @@ func TestWorkspaceAddRemove(t *testing.T) {
 	if err := ws.AddSchema(paperex.Sc1()); err != nil {
 		t.Fatal(err)
 	}
+	// sc1 has 4 attributes, all registered for equivalence declaration.
+	if got := ws.Registry().Len(); got != 4 {
+		t.Errorf("registered attributes = %d, want 4", got)
+	}
 	if err := ws.AddSchema(paperex.Sc1()); err == nil {
 		t.Error("duplicate schema should fail")
 	}
@@ -86,29 +92,68 @@ func TestWorkspaceRemoveDropsAssertions(t *testing.T) {
 	}
 }
 
+func TestWorkspaceIntegrate(t *testing.T) {
+	ws := paperWorkspace(t)
+	res, err := ws.Integrate("sc1", "sc2", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Schema.Name != "INT_sc1_sc2" {
+		t.Errorf("default name = %q", res.Schema.Name)
+	}
+	if res.Schema.Object("E_Department") == nil {
+		t.Error("E_Department missing")
+	}
+	named, err := ws.Integrate("sc1", "sc2", "custom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named.Schema.Name != "custom" {
+		t.Errorf("name = %q", named.Schema.Name)
+	}
+}
+
+// TestWorkspaceIntegrateAndCache: the workspace caches no result between
+// calls, so an edit shows in the next integration without any
+// invalidation step.
 func TestWorkspaceIntegrateAndCache(t *testing.T) {
 	ws := paperWorkspace(t)
-	res1, err := ws.Integrate("sc1", "sc2")
+	before, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ws.Integrate("sc2", "sc1") // pair key is symmetric
+	if before.Schema.Object("E_Department") == nil {
+		t.Fatal("E_Department missing")
+	}
+	if _, err := ws.ObjectAssertions("sc1", "sc2").Retract(
+		assertion.ObjKey{Schema: "sc1", Object: "Department"},
+		assertion.ObjKey{Schema: "sc2", Object: "Department"}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := ws.Integrate("sc2", "sc1", "") // the pair is unordered
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1 != res2 {
-		t.Error("integration result not cached")
+	if after.Schema.Object("E_Department") != nil {
+		t.Error("integration still merges Department after the retraction")
 	}
-	ws.Invalidate()
-	res3, err := ws.Integrate("sc1", "sc2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3 == res1 {
-		t.Error("invalidate did not drop cache")
-	}
-	if _, err := ws.Integrate("sc1", "nope"); err == nil {
+	if _, err := ws.Integrate("sc1", "nope", ""); err == nil {
 		t.Error("unknown schema should fail")
+	}
+}
+
+func TestWorkspaceRanksPairs(t *testing.T) {
+	ws := paperWorkspace(t)
+	s1, s2 := ws.Schema("sc1"), ws.Schema("sc2")
+	objs := ws.RankObjects(s1, s2)
+	if len(objs) != 6 {
+		t.Errorf("object pairs = %d", len(objs))
+	}
+	if objs[0].Object1 != "Student" || objs[0].Object2 != "Grad_student" {
+		t.Errorf("top pair = %+v", objs[0])
+	}
+	if rels := ws.RankRelationships(s1, s2); len(rels) != 2 {
+		t.Errorf("relationship pairs = %d", len(rels))
 	}
 }
 
@@ -141,16 +186,50 @@ func TestWorkspaceSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("assertion after load = %v", got)
 	}
 	// The loaded workspace must produce the same integrated schema.
-	a, err := ws.Integrate("sc1", "sc2")
+	a, err := ws.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Integrate("sc1", "sc2")
+	b, err := back.Integrate("sc1", "sc2", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ecr.FormatSchema(a.Schema) != ecr.FormatSchema(b.Schema) {
 		t.Error("integration differs after save/load")
+	}
+}
+
+// Marshal writes the pairs in the order of their joined "a|b" names, so
+// (sc10, sc2) precedes (sc1, sc2): snapshot bytes do not depend on the
+// workspace's key type.
+func TestMarshalKeepsPairOrder(t *testing.T) {
+	ws := NewWorkspace()
+	for _, name := range []string{"sc1", "sc10", "sc2"} {
+		if err := ws.AddSchema(ecr.NewSchema(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s1 := range []string{"sc1", "sc10"} {
+		if err := ws.ObjectAssertions(s1, "sc2").Assert(
+			assertion.ObjKey{Schema: s1, Object: "X"},
+			assertion.ObjKey{Schema: "sc2", Object: "Y"}, assertion.Equals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := Marshal(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st storedWorkspace
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, a := range st.ObjAssertions {
+		got = append(got, a.SchemaA)
+	}
+	if strings.Join(got, " ") != "sc10 sc1" {
+		t.Errorf("assertion order by schema = %v, want [sc10 sc1]", got)
 	}
 }
 
@@ -168,14 +247,38 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestPairKey(t *testing.T) {
-	if pairKey("b", "a") != pairKey("a", "b") {
-		t.Error("pairKey not symmetric")
+	if pairOf("b", "a") != pairOf("a", "b") {
+		t.Error("pairOf not symmetric")
 	}
-	if !pairHasSchema("a|b", "a") || !pairHasSchema("a|b", "b") {
-		t.Error("pairHasSchema misses members")
+	if p := pairOf("a", "b"); !p.has("a") || !p.has("b") {
+		t.Error("pair misses members")
 	}
-	if pairHasSchema("aa|b", "a") {
-		t.Error("pairHasSchema matched a prefix")
+	if pairOf("aa", "b").has("a") {
+		t.Error("pair matched a prefix")
+	}
+}
+
+// A schema name may contain '|', so no two pairs may share the state of
+// one: (a|b, c) and (a, b|c) are different pairs, and removing schema b
+// touches neither.
+func TestPairKeysDoNotCollideOnPipe(t *testing.T) {
+	ws := NewWorkspace()
+	for _, name := range []string{"a|b", "c", "a", "b|c", "b"} {
+		if err := ws.AddSchema(ecr.NewSchema(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ws.ObjectAssertions("a|b", "c").Assert(
+		assertion.ObjKey{Schema: "a|b", Object: "X"},
+		assertion.ObjKey{Schema: "c", Object: "Y"}, assertion.Equals); err != nil {
+		t.Fatal(err)
+	}
+	if n := ws.ObjectAssertions("a", "b|c").Len(); n != 0 {
+		t.Errorf("pair (a, b|c) holds %d entries of pair (a|b, c)", n)
+	}
+	ws.RemoveSchema("b")
+	if n := ws.ObjectAssertions("a|b", "c").Len(); n != 1 {
+		t.Errorf("removing schema b left pair (a|b, c) with %d entries, want 1", n)
 	}
 }
 

@@ -55,7 +55,6 @@ func (s *Session) runSuggestions() {
 					accepted++
 				}
 			}
-			s.ws.Invalidate()
 			s.notify(phase, fmt.Sprintf("accepted %d suggested equivalences", accepted))
 		case "t":
 			if len(fields) != 2 {
@@ -79,7 +78,6 @@ func (s *Session) runSuggestions() {
 				s.notify(phase, err.Error())
 				continue
 			}
-			s.ws.Invalidate()
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/assertion"
-	"repro/internal/core"
 	"repro/internal/ecr"
 	"repro/internal/instance"
 	"repro/internal/mapping"
@@ -91,30 +90,20 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	// Step 1: integrate personnel + projects.
-	it1, err := core.New(relRes.Schema, hierRes.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it1.DeclareEquivalent("Department.Dname", "Division.Dname"); err != nil {
-		t.Fatal(err)
-	}
-	if err := it1.Assert("Department", assertion.Equals, "Division"); err != nil {
-		t.Fatal(err)
-	}
-	step1, err := it1.Integrate("g1")
+	ws1 := pairWorkspace(t, relRes.Schema, hierRes.Schema)
+	declareEquivalent(t, ws1, "personnel", "projects", "Department.Dname", "Division.Dname")
+	assertClosed(t, ws1.ObjectAssertions("personnel", "projects"),
+		"personnel", "Department", assertion.Equals, "projects", "Division")
+	step1, err := ws1.Integrate("personnel", "projects", "g1")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Step 2: fold in sales.
-	it2, err := core.New(step1.Schema, sales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it2.Assert("Employee", assertion.DisjointIntegrable, "Customer"); err != nil {
-		t.Fatal(err)
-	}
-	global, err := it2.Integrate("global")
+	ws2 := pairWorkspace(t, step1.Schema, sales)
+	assertClosed(t, ws2.ObjectAssertions("g1", "sales"),
+		"g1", "Employee", assertion.DisjointIntegrable, "sales", "Customer")
+	global, err := ws2.Integrate("g1", "sales", "global")
 	if err != nil {
 		t.Fatal(err)
 	}
