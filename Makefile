@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -X repro/internal/version.Version=$(VERSION)
 BINDIR   = bin
 
-.PHONY: all build check vet sit-vet test race loadgen bench-assertions bench-translate clean
+.PHONY: all build check vet sit-vet test race bench-assertions bench-translate clean
 
 all: check
 
@@ -40,11 +40,6 @@ test:
 
 race:
 	go test -race ./...
-
-# loadgen runs the CI-scale admission-control load harness: 100 open-loop
-# tenants, three phases, ~30 seconds. See cmd/sit-loadgen.
-loadgen:
-	go run ./cmd/sit-loadgen -smoke -v
 
 # bench-assertions sweeps the incremental closure engine against the dense
 # re-closure at 10^3..10^6 assertions and rewrites BENCH_assertions.json.

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +15,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ecr"
+	"repro/internal/workload"
 )
 
 // limitedServer returns a quiet server with the given limits and its
@@ -482,6 +489,377 @@ func TestJournalByteQuota(t *testing.T) {
 	// Reads stay up: overload of the write path never blocks the read path.
 	if status := doJSON(t, client, "GET", ts.URL+"/v1/schemas", nil, nil); status != http.StatusOK {
 		t.Fatalf("read under journal quota = %d", status)
+	}
+}
+
+// --- admission under sustained load ---
+
+// raceDetector reports a -race build (race_test.go sets it).
+var raceDetector bool
+
+// Tokens TestAdmissionUnderLoad installs for its limited and overload
+// phases: the admin key creates the workspaces, the data key carries the
+// traffic.
+const (
+	loadAdminKey = "load-admin-key-1"
+	loadDataKey  = "load-data-key-1"
+)
+
+// loadFixture is what every tenant uploads and replays: the workload
+// generator's schema pair and one idempotent equivalence re-declare per
+// shared object.
+type loadFixture struct {
+	schemaBodies [][]byte             // POST /schemas payloads, one per schema
+	eqs          []equivalenceRequest // the re-declares
+	eqBodies     [][]byte             // their POST /equivalences payloads
+}
+
+func newLoadFixture(t *testing.T) *loadFixture {
+	t.Helper()
+	w, err := workload.Generate(workload.Config{
+		Seed: 1, Objects: 8, AttrsPerObject: 3, Overlap: 0.5, Relationships: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &loadFixture{}
+	for _, sc := range []*ecr.Schema{w.S1, w.S2} {
+		raw, err := ecr.EncodeJSON(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(map[string]json.RawMessage{"schema": raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.schemaBodies = append(f.schemaBodies, body)
+	}
+	// The first attribute of every object present in both schemas. The
+	// first declare merges the classes; every repeat is a registry no-op,
+	// a mutation that stays 201.
+	byName := map[string]*ecr.ObjectClass{}
+	for _, o := range w.S2.Objects {
+		byName[o.Name] = o
+	}
+	for _, o1 := range w.S1.Objects {
+		o2, ok := byName[o1.Name]
+		if !ok || len(o1.Attributes) == 0 || len(o2.Attributes) == 0 {
+			continue
+		}
+		eq := equivalenceRequest{
+			Schema1: w.S1.Name, Attr1: o1.Name + "." + o1.Attributes[0].Name,
+			Schema2: w.S2.Name, Attr2: o2.Name + "." + o2.Attributes[0].Name,
+		}
+		body, err := json.Marshal(eq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.eqs = append(f.eqs, eq)
+		f.eqBodies = append(f.eqBodies, body)
+	}
+	if len(f.eqs) == 0 {
+		t.Fatal("workload produced no shared objects")
+	}
+	return f
+}
+
+// loadTally counts one phase's outcomes.
+type loadTally struct {
+	sent          int
+	ok            int           // 2xx
+	okLatency     time.Duration // summed over the 2xx
+	conflict      int           // 409
+	rateLimited   int           // 429
+	unavailable   int           // 503
+	unexpected    map[int]int   // any other status
+	transportErrs int
+	badRetry      int // 429/503 without a Retry-After in [1, 300]
+}
+
+func (c loadTally) meanOK() time.Duration {
+	if c.ok == 0 {
+		return 0
+	}
+	return c.okLatency / time.Duration(c.ok)
+}
+
+func (c loadTally) String() string {
+	return fmt.Sprintf("%d sent, %d 2xx (mean %v), 409 %d, 429 %d, 503 %d, unexpected %v, transport errors %d",
+		c.sent, c.ok, c.meanOK(), c.conflict, c.rateLimited, c.unavailable, c.unexpected, c.transportErrs)
+}
+
+// loadPhase is one phase's server and the tally of its outcomes.
+type loadPhase struct {
+	name   string
+	base   string // the server's URL
+	token  string // bearer token for data-plane traffic ("" sends none)
+	client *http.Client
+
+	mu    sync.Mutex
+	tally loadTally // guarded by mu
+}
+
+// result returns the phase's tally so far.
+func (p *loadPhase) result() loadTally {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tally
+}
+
+// send issues one request with an optional bearer token and drains the
+// response body; the status and headers stay readable.
+func (p *loadPhase) send(method, path, token string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequest(method, p.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := p.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp, nil
+}
+
+// op issues tenant id's n-th request, round-robin over GET matrix, GET
+// schemas, POST equivalences and GET resemblance, and tallies the answer.
+func (p *loadPhase) op(f *loadFixture, id, n int) {
+	method, path, body := "GET", "/v1/workspaces/"+loadTenant(id), []byte(nil)
+	switch n % 4 {
+	case 0:
+		path += "/matrix?schema1=w1&schema2=w2"
+	case 1:
+		path += "/schemas"
+	case 2:
+		method, path, body = "POST", path+"/equivalences", f.eqBodies[(n/4)%len(f.eqBodies)]
+	case 3:
+		path += "/resemblance?schema1=w1&schema2=w2"
+	}
+	t0 := time.Now()
+	resp, err := p.send(method, path, p.token, body)
+	lat := time.Since(t0)
+	code, badRetry := 0, false
+	if err == nil {
+		code = resp.StatusCode
+		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+			secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+			badRetry = err != nil || secs < minRetryAfterSeconds || secs > maxRetryAfterSeconds
+		}
+	}
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := &p.tally
+	c.sent++
+	switch {
+	case err != nil:
+		c.transportErrs++
+	case code >= 200 && code < 300:
+		c.ok++
+		c.okLatency += lat
+	case code == http.StatusConflict:
+		c.conflict++
+	case code == http.StatusTooManyRequests:
+		c.rateLimited++
+	case code == http.StatusServiceUnavailable:
+		c.unavailable++
+	default:
+		c.unexpected[code]++
+	}
+	if badRetry {
+		c.badRetry++
+	}
+}
+
+// loadTenant names tenant id's workspace.
+func loadTenant(id int) string { return fmt.Sprintf("t%04d", id) }
+
+// startLoadPhase starts a fresh server with the given limits (and, when
+// keysPath is set, API keys) and gives every tenant a workspace holding
+// the fixture's schema pair. Setup traffic is not tallied.
+func startLoadPhase(t *testing.T, name string, limits Limits, keysPath string, f *loadFixture, tenants int) *loadPhase {
+	t.Helper()
+	srv := New(Config{Workers: 1, MaxWorkspaces: tenants + 8, Limits: limits})
+	adminTok := ""
+	p := &loadPhase{name: name, tally: loadTally{unexpected: map[int]int{}}}
+	if keysPath != "" {
+		if err := srv.SetKeysFile(keysPath); err != nil {
+			t.Fatal(err)
+		}
+		adminTok, p.token = loadAdminKey, loadDataKey
+	}
+	ts := httptest.NewServer(srv.Handler())
+	p.base = ts.URL
+	p.client = &http.Client{
+		Timeout:   15 * time.Second,
+		Transport: &http.Transport{MaxIdleConns: 4 * tenants, MaxIdleConnsPerHost: 4 * tenants},
+	}
+	t.Cleanup(func() {
+		p.client.CloseIdleConnections()
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	for id := 0; id < tenants; id++ {
+		tenant := loadTenant(id)
+		body := fmt.Sprintf(`{"name":%q}`, tenant)
+		if resp, err := p.send("POST", "/v1/workspaces", adminTok, []byte(body)); err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: create %s: %v %v", name, tenant, resp, err)
+		}
+		for _, sb := range f.schemaBodies {
+			if resp, err := p.send("POST", "/v1/workspaces/"+tenant+"/schemas", p.token, sb); err != nil || resp.StatusCode != http.StatusCreated {
+				t.Fatalf("%s: upload to %s: %v %v", name, tenant, resp, err)
+			}
+		}
+		// Warm the tenant in process, past admission: make the first
+		// declare of each pair and fill the similarity caches. Left cold,
+		// those few slow requests per tenant would set the phase's mean.
+		ws, err := srv.manager.Get(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eq := range f.eqs {
+			if err := ws.store.DeclareEquivalence(eq.Schema1, eq.Attr1, eq.Schema2, eq.Attr2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ws.store.RankedPairs("w1", "w2", false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.store.Matrix("w1", "w2", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// driveLoad runs the open-loop arrival process for d: every tenant fires
+// rate requests a second on its own clock, whether or not earlier ones
+// have come back, the way real overload arrives. Each arrival goes to
+// every phase's server at the same instant, so host noise lands on the
+// phases alike; the order the requests are issued in rotates, so no phase
+// is always first in line.
+func driveLoad(phases []*loadPhase, f *loadFixture, tenants int, rate float64, d time.Duration) {
+	interval := time.Duration(float64(time.Second) / rate)
+	deadline := time.Now().Add(d)
+	var pacers, inflight sync.WaitGroup
+	for id := 0; id < tenants; id++ {
+		pacers.Add(1)
+		go func(id int) {
+			defer pacers.Done()
+			// A staggered start keeps the arrivals smooth instead of
+			// firing every tenant on the same tick.
+			rng := rand.New(rand.NewSource(int64(id) + 1))
+			time.Sleep(time.Duration(rng.Int63n(int64(interval))))
+			tick := time.NewTicker(interval)
+			defer tick.Stop()
+			for n, now := 0, time.Now(); now.Before(deadline); n, now = n+1, <-tick.C {
+				for k := range phases {
+					p := phases[(id+n+k)%len(phases)]
+					inflight.Add(1)
+					go func(n int) {
+						defer inflight.Done()
+						p.op(f, id, n)
+					}(n)
+				}
+			}
+		}(id)
+	}
+	pacers.Wait()
+	inflight.Wait()
+}
+
+// TestAdmissionUnderLoad checks the admission layer's overload contract
+// end to end under open-loop load from many tenants. Three phases, each
+// on a fresh server:
+//
+//   - baseline: admission off; prices the happy path;
+//   - limited: quotas, API keys and a per-workspace rate of four times the
+//     offered load; admission runs on every request but refuses none, and
+//     its mean 2xx latency may exceed the baseline's by at most 5% or
+//     200µs;
+//   - overload: the same with the rate at half the offered load; 429s
+//     must appear.
+//
+// In every phase each status is 2xx, 409, 429 or 503, every 429 and 503
+// carries a Retry-After in [1, 300] seconds, and transport errors stay
+// within 1% of the requests sent.
+//
+// The phases run side by side, each arrival fired at all three servers,
+// not one after another: run in turn, identical phases on a shared host
+// differed in mean latency by a third, far beyond the 5% being checked.
+//
+// Sizing: 32 tenants at 2 req/s each per server, 192 req/s offered in
+// all, for 10s: 640 requests a phase, so one request stalled 80ms by the
+// host moves its phase's mean by 125µs, not the whole 200µs being
+// checked. Under the race detector requests are about ten times slower
+// and their latency tail far longer, so the run lasts four times as long.
+// The overload bucket refills 1 token/s and its burst of 2 is spent by the
+// schema uploads, so each tenant can be admitted about half of what it
+// sends.
+func TestAdmissionUnderLoad(t *testing.T) {
+	const (
+		tenants  = 32
+		rate     = 2.0 // requests per second per tenant and server
+		duration = 10 * time.Second
+		// Happy-path overhead tolerance, limits on against limits off. The
+		// absolute slack keeps sub-millisecond loopback latencies from
+		// failing on scheduler noise.
+		maxOverhead   = 0.05
+		overheadSlack = 200 * time.Microsecond
+	)
+	d := duration
+	if raceDetector {
+		d *= 4
+	}
+	f := newLoadFixture(t)
+	keys := writeKeys(t, t.TempDir(), loadAdminKey+" admin\n"+loadDataKey+" data *\n")
+	headroom := Limits{MaxSchemas: 8, MaxJobs: 32, WorkspaceRate: 4 * rate}
+	choke := headroom
+	choke.WorkspaceRate = rate / 2
+
+	base := startLoadPhase(t, "baseline", Limits{}, "", f, tenants)
+	lim := startLoadPhase(t, "limited", headroom, keys, f, tenants)
+	over := startLoadPhase(t, "overload", choke, keys, f, tenants)
+	phases := []*loadPhase{base, lim, over}
+	driveLoad(phases, f, tenants, rate, d)
+
+	for _, p := range phases {
+		c := p.result()
+		t.Logf("%s: %v", p.name, c)
+		if len(c.unexpected) > 0 {
+			t.Errorf("%s: unexpected statuses %v", p.name, c.unexpected)
+		}
+		if c.badRetry > 0 {
+			t.Errorf("%s: %d rejections without a valid Retry-After", p.name, c.badRetry)
+		}
+		if c.transportErrs > c.sent/100 {
+			t.Errorf("%s: %d transport errors of %d sent", p.name, c.transportErrs, c.sent)
+		}
+		if c.ok == 0 {
+			t.Errorf("%s: no request succeeded", p.name)
+		}
+	}
+	b, l, o := base.result(), lim.result(), over.result()
+	if b.rateLimited > 0 {
+		t.Errorf("baseline: %d requests rate-limited despite headroom", b.rateLimited)
+	}
+	if l.rateLimited > 0 {
+		t.Errorf("limited: %d requests rate-limited despite headroom", l.rateLimited)
+	}
+	if o.rateLimited == 0 {
+		t.Error("overload: no 429s despite offered load above the rate limit")
+	}
+	bm, lm := b.meanOK(), l.meanOK()
+	if frac := float64(lm-bm) / float64(bm); frac > maxOverhead && lm-bm > overheadSlack {
+		t.Errorf("admission overhead %.1f%% exceeds %.0f%% and %v (baseline mean %v, limited mean %v)",
+			100*frac, 100*maxOverhead, overheadSlack, bm, lm)
 	}
 }
 

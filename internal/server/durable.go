@@ -275,7 +275,7 @@ func Open(cfg Config, dcfg DurabilityConfig) (*Server, *RecoveryReport, error) {
 		}
 	}
 
-	s.metrics.SetDurability(report.RecoveredWorkspaces, report.RecoveredJobs, s.oldestSnapshotAge)
+	s.metrics.SetDurability(report.RecoveredWorkspaces, report.RecoveredJobs)
 	if s.cfg.Follow != nil {
 		if err := s.startFollowing(); err != nil {
 			s.closeAllJournals()
@@ -786,21 +786,6 @@ func (s *Server) Compact() error {
 		}
 	}
 	return first
-}
-
-// oldestSnapshotAge is the snapshot_age_seconds gauge: the age of the
-// stalest snapshot across live workspaces.
-func (s *Server) oldestSnapshotAge() float64 {
-	var oldest float64
-	for _, ws := range s.manager.List() {
-		if ws.persist == nil {
-			continue
-		}
-		if age := time.Since(ws.persist.j.SnapshotTime()).Seconds(); age > oldest {
-			oldest = age
-		}
-	}
-	return oldest
 }
 
 // closeAllJournals abruptly releases every workspace journal (Open error

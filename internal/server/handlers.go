@@ -199,8 +199,29 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
+// handleMetrics renders the registry's counters plus the live gauges,
+// read in one walk over the workspaces: queue depth, the similarity and
+// closure counters, and the age of the stalest snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
+	snap := s.metrics.Snapshot()
+	snap.WorkspacesActive = s.manager.Len()
+	for _, ws := range s.manager.List() {
+		snap.QueueDepth += ws.queue.Depth()
+		hits, misses := ws.store.SimilarityCacheStats()
+		snap.SimilarityCacheHits += hits
+		snap.SimilarityCacheMisses += misses
+		hits, misses, derived, conflicts := ws.store.ClosureStats()
+		snap.ClosureCacheHits += hits
+		snap.ClosureCacheMisses += misses
+		snap.ClosureDerivedTotal += derived
+		snap.ClosureConflictsTotal += conflicts
+		if snap.Journal != nil && ws.persist != nil {
+			age := time.Since(ws.persist.j.SnapshotTime()).Seconds()
+			snap.Journal.SnapshotAgeSeconds = max(snap.Journal.SnapshotAgeSeconds, age)
+		}
+	}
+	snap.Replication = s.replicationSnapshot()
+	writeJSON(w, http.StatusOK, snap)
 }
 
 // --- workspace lifecycle ---

@@ -108,9 +108,11 @@ func (c *WorkspaceCounters) add(o WorkspaceCounters) {
 }
 
 // Metrics aggregates the server's operational counters: requests by route
-// and status class, job lifecycle counts, queue depth and the integration
-// latency histogram. Everything is hand-rolled over a mutex so the package
-// needs nothing beyond the standard library.
+// and status class, job lifecycle counts and the integration latency
+// histogram. Live gauges (queue depth, cache counters, snapshot age,
+// replication) are read from the workspaces when /metrics renders, not
+// kept here. Everything is hand-rolled over a mutex so the package needs
+// nothing beyond the standard library.
 type Metrics struct {
 	mu       sync.Mutex
 	started  time.Time                    // immutable after NewMetrics
@@ -129,18 +131,14 @@ type Metrics struct {
 	// from deleted workspaces. Both guarded by mu.
 	workspaces map[string]*WorkspaceCounters // guarded by mu
 	otherWS    WorkspaceCounters             // guarded by mu
-	// workspaceCount, when set, reports the live workspace count (the
-	// workspaces_active gauge).
-	workspaceCount func() int // guarded by mu
 
 	// journal counters (durable servers only).
-	durable             bool           // guarded by mu
-	journalAppends      uint64         // guarded by mu
-	journalErrors       uint64         // guarded by mu
-	compactions         uint64         // guarded by mu
-	recoveredWorkspaces int            // guarded by mu
-	recoveredJobs       int            // guarded by mu
-	snapshotAge         func() float64 // guarded by mu
+	durable             bool   // guarded by mu
+	journalAppends      uint64 // guarded by mu
+	journalErrors       uint64 // guarded by mu
+	compactions         uint64 // guarded by mu
+	recoveredWorkspaces int    // guarded by mu
+	recoveredJobs       int    // guarded by mu
 
 	// IntegrationLatency times successful integration runs (sync and
 	// job-queue alike). The pointer is immutable after NewMetrics; the
@@ -149,12 +147,6 @@ type Metrics struct {
 	// JournalFsync times the fsyncs the write-ahead journal performs.
 	JournalFsync *Histogram
 
-	// replication, when set, reports the server's replication role and
-	// per-workspace lag for snapshots.
-	replication func() *ReplicationSnapshot // guarded by mu
-	// queueDepth, when set, reports the live queue depth for snapshots.
-	queueDepth func() int // guarded by mu
-
 	// Admission counters. Lock-free atomics: the rejection paths run ahead
 	// of all handler work and must stay free of lock contention — a flood
 	// of 429s bumping a shared mutex would be its own overload vector.
@@ -162,13 +154,6 @@ type Metrics struct {
 	rateLimited     atomic.Uint64
 	quotaRejections atomic.Uint64
 	bodyTooLarge    atomic.Uint64
-	// similarityStats, when set, reports the store's similarity-cache
-	// hit and miss counters for snapshots.
-	similarityStats func() (hits, misses uint64) // guarded by mu
-	// closureStats, when set, reports the stores' assertion-closure
-	// counters: listing-cache hits and misses plus cumulative derived
-	// entries and conflicts from incremental closure.
-	closureStats func() (hits, misses, derived, conflicts uint64) // guarded by mu
 }
 
 // NewMetrics returns an empty metrics registry.
@@ -183,44 +168,6 @@ func NewMetrics() *Metrics {
 		IntegrationLatency: NewHistogram(),
 		JournalFsync:       NewHistogram(),
 	}
-}
-
-// SetQueueDepthFunc wires the live queue-depth gauge. The default
-// workspace's gauge is wired during startup, but tenant workspaces are
-// created while /metrics may be rendering, so the write must take the
-// lock like any other.
-func (m *Metrics) SetQueueDepthFunc(fn func() int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queueDepth = fn
-}
-
-// SetSimilarityStatsFunc wires the similarity-cache counters.
-func (m *Metrics) SetSimilarityStatsFunc(fn func() (hits, misses uint64)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.similarityStats = fn
-}
-
-// SetClosureStatsFunc wires the assertion-closure counters.
-func (m *Metrics) SetClosureStatsFunc(fn func() (hits, misses, derived, conflicts uint64)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closureStats = fn
-}
-
-// SetReplicationFunc wires the replication role/lag reporter.
-func (m *Metrics) SetReplicationFunc(fn func() *ReplicationSnapshot) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replication = fn
-}
-
-// SetWorkspaceCountFunc wires the workspaces_active gauge.
-func (m *Metrics) SetWorkspaceCountFunc(fn func() int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.workspaceCount = fn
 }
 
 // workspace returns the named workspace's counters, creating them on first
@@ -349,15 +296,13 @@ func (m *Metrics) ObserveCompaction() {
 	m.compactions++
 }
 
-// SetDurability marks the registry durable, recording the recovery counts
-// and wiring the snapshot-age gauge.
-func (m *Metrics) SetDurability(recoveredWorkspaces, recoveredJobs int, age func() float64) {
+// SetDurability marks the registry durable, recording the recovery counts.
+func (m *Metrics) SetDurability(recoveredWorkspaces, recoveredJobs int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.durable = true
 	m.recoveredWorkspaces = recoveredWorkspaces
 	m.recoveredJobs = recoveredJobs
-	m.snapshotAge = age
 }
 
 // snapshotWorkspacesLocked renders the per-workspace counters with bounded
@@ -503,7 +448,8 @@ type JournalSnapshot struct {
 	RecoveredJobs       int               `json:"recovered_jobs"`
 }
 
-// Snapshot renders every metric at once.
+// Snapshot renders every counter at once. The live gauges are left zero
+// (and Replication nil) for handleMetrics to fill.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	requests := make(map[string]map[string]uint64, len(m.requests))
@@ -533,15 +479,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		}
 	}
 	started := m.started
-	replFn := m.replication
-	depthFn := m.queueDepth
-	simFn := m.similarityStats
-	cloFn := m.closureStats
-	countFn := m.workspaceCount
 	panics := m.panics
 	wsSnap := m.snapshotWorkspacesLocked()
 	var journal *JournalSnapshot
-	var ageFn func() float64
 	if m.durable {
 		journal = &JournalSnapshot{
 			AppendsTotal:        m.journalAppends,
@@ -550,7 +490,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 			RecoveredWorkspaces: m.recoveredWorkspaces,
 			RecoveredJobs:       m.recoveredJobs,
 		}
-		ageFn = m.snapshotAge
 	}
 	m.mu.Unlock()
 
@@ -570,28 +509,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 			BodyTooLargeTotal:    m.bodyTooLarge.Load(),
 		},
 	}
-	if depthFn != nil {
-		snap.QueueDepth = depthFn()
-	}
-	if countFn != nil {
-		snap.WorkspacesActive = countFn()
-	}
-	if simFn != nil {
-		snap.SimilarityCacheHits, snap.SimilarityCacheMisses = simFn()
-	}
-	if cloFn != nil {
-		snap.ClosureCacheHits, snap.ClosureCacheMisses,
-			snap.ClosureDerivedTotal, snap.ClosureConflictsTotal = cloFn()
-	}
 	if journal != nil {
 		journal.FsyncSeconds = m.JournalFsync.Snapshot()
-		if ageFn != nil {
-			journal.SnapshotAgeSeconds = ageFn()
-		}
 		snap.Journal = journal
-	}
-	if replFn != nil {
-		snap.Replication = replFn()
 	}
 	return snap
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -54,8 +57,6 @@ func TestMetricsRequestsAndJobs(t *testing.T) {
 	m.ObserveJob(DefaultWorkspace, JobQueued)
 	m.ObserveJob(DefaultWorkspace, JobRunning)
 	m.ObserveJob(DefaultWorkspace, JobDone)
-	m.SetQueueDepthFunc(func() int { return 7 })
-	m.SetWorkspaceCountFunc(func() int { return 3 })
 
 	snap := m.Snapshot()
 	if snap.Requests["GET /healthz"]["2xx"] != 2 {
@@ -67,17 +68,57 @@ func TestMetricsRequestsAndJobs(t *testing.T) {
 	if snap.Jobs["done"] != 1 || snap.Jobs["queued"] != 1 {
 		t.Errorf("jobs = %v", snap.Jobs)
 	}
-	if snap.QueueDepth != 7 {
-		t.Errorf("queueDepth = %d", snap.QueueDepth)
-	}
-	if snap.WorkspacesActive != 3 {
-		t.Errorf("workspacesActive = %d", snap.WorkspacesActive)
-	}
 	if snap.Workspaces[DefaultWorkspace].JobsFinished != 1 {
 		t.Errorf("workspace counters = %+v", snap.Workspaces)
 	}
 	if snap.UptimeSeconds < 0 {
 		t.Errorf("uptime = %v", snap.UptimeSeconds)
+	}
+
+	// The live gauges are read from the workspaces when /metrics renders:
+	// queue depth summed over every workspace's queue, and the live
+	// workspace count. A single-worker queue whose jobs block keeps the
+	// backlog under test control: one running plus six buffered.
+	srv := New(Config{Workers: 1})
+	block := make(chan struct{})
+	ws := srv.defaultWS()
+	old := ws.queue
+	ws.queue = NewQueue(1, 8, 0, func(ctx context.Context, req JobRequest) (*IntegrationResult, error) {
+		select {
+		case <-block:
+			return &IntegrationResult{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	defer func() {
+		close(block)
+		ws.queue.Shutdown(context.Background())
+		old.Shutdown(context.Background())
+		_ = srv.Shutdown(context.Background())
+	}()
+	for i := 0; i < 7; i++ {
+		if _, err := ws.queue.Submit(JobRequest{Type: "integrate", Schema1: "a", Schema2: "b"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"alpha", "beta"} {
+		if _, err := srv.manager.Create(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	snap = MetricsSnapshot{}
+	if status := doJSON(t, ts.Client(), "GET", ts.URL+"/metrics", nil, &snap); status != http.StatusOK {
+		t.Fatalf("metrics: status %d", status)
+	}
+	if snap.QueueDepth != 7 {
+		t.Errorf("queueDepth = %d, want 7", snap.QueueDepth)
+	}
+	if snap.WorkspacesActive != 3 {
+		t.Errorf("workspaces_active = %d, want 3", snap.WorkspacesActive)
 	}
 }
 

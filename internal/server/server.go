@@ -161,11 +161,6 @@ func newServer(cfg Config, dcfg *DurabilityConfig) *Server {
 	}
 	s.manager = NewManager(cfg.MaxWorkspaces, s.buildWorkspace, s.destroyWorkspace)
 	s.manager.onChange = s.changes.bump
-	s.metrics.SetQueueDepthFunc(s.manager.TotalQueueDepth)
-	s.metrics.SetSimilarityStatsFunc(s.manager.TotalSimilarityStats)
-	s.metrics.SetClosureStatsFunc(s.manager.TotalClosureStats)
-	s.metrics.SetWorkspaceCountFunc(s.manager.Len)
-	s.metrics.SetReplicationFunc(s.replicationSnapshot)
 	s.routes()
 	return s
 }

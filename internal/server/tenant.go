@@ -240,36 +240,3 @@ func (m *Manager) Len() int {
 	defer m.mu.RUnlock()
 	return len(m.byName)
 }
-
-// TotalQueueDepth sums the queue depth across every workspace.
-func (m *Manager) TotalQueueDepth() int {
-	total := 0
-	for _, ws := range m.List() {
-		total += ws.queue.Depth()
-	}
-	return total
-}
-
-// TotalSimilarityStats sums the similarity-cache counters across every
-// workspace.
-func (m *Manager) TotalSimilarityStats() (hits, misses uint64) {
-	for _, ws := range m.List() {
-		h, miss := ws.store.SimilarityCacheStats()
-		hits += h
-		misses += miss
-	}
-	return hits, misses
-}
-
-// TotalClosureStats sums the assertion-closure counters across every
-// workspace.
-func (m *Manager) TotalClosureStats() (hits, misses, derived, conflicts uint64) {
-	for _, ws := range m.List() {
-		h, miss, d, c := ws.store.ClosureStats()
-		hits += h
-		misses += miss
-		derived += d
-		conflicts += c
-	}
-	return hits, misses, derived, conflicts
-}
