@@ -28,9 +28,10 @@ vet:
 
 # sit-vet runs the project-specific analyzers (lock discipline, error
 # classification, journal ordering, metric cardinality, I/O under locks,
-# admission wrapping, lock-order deadlock detection, hot-path allocations,
-# directive hygiene) over every package, _test.go files included, keeping
-# a cross-run result cache. A package that does not compile fails it.
+# lock-order deadlock detection, directive hygiene) over every package,
+# _test.go files included, keeping a cross-run result cache. A package
+# that does not compile fails it. Route admission and hot-path
+# allocations are checked by tests (TestRouteTable, Test*Allocs).
 sit-vet:
 	go build -o $(BINDIR)/sit-vet ./cmd/sit-vet
 	$(BINDIR)/sit-vet -cache $(BINDIR)/sit-vet.factcache ./...

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -146,7 +145,7 @@ type assertionBenchRow struct {
 type assertionBenchReportDoc struct {
 	Description  string              `json:"description"`
 	Command      string              `json:"command"`
-	Environment  map[string]string   `json:"environment"`
+	Environment  map[string]any      `json:"environment"`
 	SingleAssert []assertionBenchRow `json:"single_assert"`
 }
 
@@ -160,12 +159,7 @@ func TestWriteAssertionBenchReport(t *testing.T) {
 	doc := assertionBenchReportDoc{
 		Description: "Single-assert latency against a held assertion matrix: the incremental engine (internal/assertion.Engine, semi-naive delta propagation with support counting) vs the dense pre-engine path (record, DropDerived, full Close). Matrices are workload.GenerateAssertions streams in bounded components; both paths produce byte-identical closures (differential tests and FuzzClosure in internal/assertion enforce this).",
 		Command:     "make bench-assertions  (go test -run=TestWriteAssertionBenchReport -assertion-bench-report .)",
-		Environment: map[string]string{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"gover":  runtime.Version(),
-			"date":   time.Now().UTC().Format("2006-01-02"),
-		},
+		Environment: benchEnvironment(),
 	}
 	for _, size := range assertionSizes {
 		if size > *assertionBenchMax {

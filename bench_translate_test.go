@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -97,7 +96,7 @@ type translateBenchRow struct {
 type translateBenchReportDoc struct {
 	Description string              `json:"description"`
 	Command     string              `json:"command"`
-	Environment map[string]string   `json:"environment"`
+	Environment map[string]any      `json:"environment"`
 	Parse       []translateBenchRow `json:"parse"`
 }
 
@@ -111,12 +110,7 @@ func TestWriteTranslateBenchReport(t *testing.T) {
 	doc := translateBenchReportDoc{
 		Description: "Whole-source parse latency and throughput per schema frontend (internal/translate registry), over one conceptual schema rendered equivalently in each language by workload.GenerateForms. Sizes are entity-set counts; every rendering abstracts to the same ECR schema (the forms equivalence test in internal/translate enforces this).",
 		Command:     "make bench-translate  (go test -run=TestWriteTranslateBenchReport -translate-bench-report .)",
-		Environment: map[string]string{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"gover":  runtime.Version(),
-			"date":   time.Now().UTC().Format("2006-01-02"),
-		},
+		Environment: benchEnvironment(),
 	}
 	for _, size := range translateSizes {
 		if size > *translateBenchMax {

@@ -1,7 +1,7 @@
 // Command sit-vet is the repo's static-analysis tool: it runs the
 // internal/analysis suite — lockguard, errtype, journalorder, metriclabel,
-// lockio, admission, directive, hotalloc, lockorder — over every package
-// the patterns match, _test.go files included:
+// lockio, directive, lockorder — over every package the patterns match,
+// _test.go files included:
 //
 //	go build -o bin/sit-vet ./cmd/sit-vet
 //	bin/sit-vet [-cache file] [patterns]   # patterns default to ./...
@@ -25,10 +25,8 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/admission"
 	"repro/internal/analysis/directive"
 	"repro/internal/analysis/errtype"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/journalorder"
 	"repro/internal/analysis/lockguard"
 	"repro/internal/analysis/lockio"
@@ -72,31 +70,6 @@ var journalCfg = journalorder.Config{
 	},
 }
 
-// admissionCfg wires the admission-chain invariant: every route the server
-// registers must be wrapped in exactly one admitter at the registration
-// site, and nothing may register on the raw mux outside the //sit:admission
-// plumbing (Server.handle).
-var admissionCfg = admission.Config{
-	Packages: []string{"repro/internal/server"},
-	Registrars: []string{
-		"repro/internal/server.Server.handle",
-		"repro/internal/server.Server.handleWS",
-	},
-	Admitters: []string{
-		"repro/internal/server.Server.admitOpen",
-		"repro/internal/server.Server.admitPeer",
-		"repro/internal/server.Server.admitAdmin",
-		"repro/internal/server.Server.admitRead",
-		"repro/internal/server.Server.admitMutate",
-	},
-	RawRegistrars: []string{
-		"net/http.ServeMux.Handle",
-		"net/http.ServeMux.HandleFunc",
-		"net/http.Handle",
-		"net/http.HandleFunc",
-	},
-}
-
 // analyzers is the full suite.
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -105,9 +78,7 @@ func analyzers() []*analysis.Analyzer {
 		journalorder.New(journalCfg),
 		metriclabel.Analyzer,
 		lockio.Analyzer,
-		admission.New(admissionCfg),
 		directive.New(),
-		hotalloc.New(),
 		lockorder.New(),
 	}
 }

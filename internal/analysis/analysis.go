@@ -18,11 +18,8 @@
 //   - metriclabel: metric label values come from bounded-cardinality
 //     sources, never from request-derived strings.
 //   - lockio: no file or network I/O runs while an in-memory mutex is held.
-//   - admission: every registered route is wrapped in exactly one
-//     admitter, and nothing registers on the raw mux.
 //   - directive: every //sit: directive is spelled right, has the right
 //     arity and sits where an analyzer reads it.
-//   - hotalloc: functions marked //sit:hotpath allocate only their results.
 //   - lockorder: the whole-program lock-acquisition graph has no cycle.
 //
 // Analyzers receive one type-checked package at a time (a Pass) and

@@ -28,10 +28,8 @@ var known = map[string]arity{
 	"rlocked":      {1, -1}, // mutexes the caller must hold at least for reading
 	"exclusive":    {0, 0},  // single-goroutine section: lock checks off
 	"replay":       {0, 0},  // journal replay path: journalorder marker
-	"admission":    {0, 0},  // handler runs behind admission control
 	"metriclabel":  {1, -1}, // which parameters feed metric labels
 	"boundedlabel": {0, 0},  // function clamps its result to a bounded set
-	"hotpath":      {0, 0},  // zero-allocation hot path (hotalloc)
 }
 
 // New returns the directive analyzer.

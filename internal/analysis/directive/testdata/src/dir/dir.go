@@ -24,10 +24,10 @@ func (s *S) missingArg() {} // want "//sit:locked on S.missingArg has 0 argument
 //sit:replay records
 func replay() {} // want "//sit:replay on replay has 1 argument, want exactly 0"
 
-// hotOK is a marker with no arguments, as required.
+// boundedOK is a marker with no arguments, as required.
 //
-//sit:hotpath
-func hotOK() {}
+//sit:boundedlabel
+func boundedOK() string { return "" }
 
 // captures carries a snapshot-coverage list no analyzer reads any more.
 //

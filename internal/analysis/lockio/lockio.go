@@ -2,8 +2,10 @@
 // held: an fsync under the store lock turns every reader's microseconds
 // into the disk's milliseconds.
 //
-// An I/O call is: a call into package os (minus a small pure safelist), net
-// or net/http; a call to the journal package's file-backed operations
+// An I/O call is: a call into package os or net (minus small pure
+// safelists) or net/http (minus the in-memory methods of http.Header and
+// *http.Request, told apart by receiver type; net/url is never I/O); a
+// call to the journal package's file-backed operations
 // (Open, Append, Sync, Compact, Close, ...); or a call to a package-local
 // function that itself performs I/O (computed transitively within the
 // package, so wrapping os.MkdirAll in a helper does not hide it).
@@ -51,6 +53,20 @@ var netSafe = map[string]bool{
 	"Timeout": true, "Temporary": true,
 }
 
+// httpSafe are the net/http methods that only read or edit in-memory state,
+// keyed by receiver type: an http.Header is a map (its Write and
+// WriteSubset write to an io.Writer and stay I/O), and these *http.Request
+// accessors never touch the body. Package functions (http.Get) are I/O.
+var httpSafe = map[string]map[string]bool{
+	"Header": {"Add": true, "Clone": true, "Del": true, "Get": true, "Set": true, "Values": true},
+	"Request": {
+		"Context": true, "WithContext": true, "Clone": true, "PathValue": true,
+		"SetPathValue": true, "Cookie": true, "Cookies": true, "CookiesNamed": true,
+		"AddCookie": true, "BasicAuth": true, "SetBasicAuth": true,
+		"ProtoAtLeast": true, "Referer": true, "UserAgent": true,
+	},
+}
+
 // journalPkg's file-backed operations — including the replication-stream
 // surface (AppendFrame, TailSince, ResetTo), which reads or writes the
 // journal file just like Append does; the rest of the package's surface
@@ -94,11 +110,16 @@ func isDirectIO(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 			return "", false
 		}
 		return "os." + fn.Name(), true
-	case path == "net" || path == "net/http":
+	case path == "net":
 		if netSafe[fn.Name()] {
 			return "", false
 		}
-		return path + "." + fn.Name(), true
+		return "net." + fn.Name(), true
+	case path == "net/http":
+		if httpSafe[recvName(fn)][fn.Name()] {
+			return "", false
+		}
+		return "net/http." + fn.Name(), true
 	case path == journalPkg && journalIO[fn.Name()]:
 		return "journal." + fn.Name(), true
 	}
@@ -232,6 +253,23 @@ func structOwnsFile(t types.Type) bool {
 		}
 	}
 	return false
+}
+
+// recvName names a method's receiver type, pointer stripped ("Request"
+// for *http.Request); "" for a plain function.
+func recvName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {

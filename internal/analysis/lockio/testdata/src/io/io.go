@@ -1,8 +1,10 @@
 // Package io exercises lockio: direct and helper-wrapped file I/O under an
-// in-memory mutex, I/O after release, and the owns-file exemption.
+// in-memory mutex, I/O after release, the owns-file exemption, and net/http
+// calls told apart by receiver type.
 package io
 
 import (
+	"net/http"
 	"os"
 	"sync"
 )
@@ -53,4 +55,23 @@ func (w *wal) flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.f.Sync()
+}
+
+// retryAfter reads a response header under the lock: http.Header.Get is a
+// map read, not a network call.
+func (s *store) retryAfter(resp *http.Response) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return resp.Header.Get("Retry-After")
+}
+
+// fetch issues a request under the lock: the package function http.Get is
+// network I/O even though it shares the method's name.
+func (s *store) fetch(url string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	resp, err := http.Get(url) // want "I/O call net/http.Get while s.mu is held"
+	if err == nil {
+		_ = resp.Body.Close()
+	}
 }

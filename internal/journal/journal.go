@@ -540,10 +540,8 @@ func (j *Journal) AppendFrame(line []byte) (Record, error) {
 // nil — the caller must ship a snapshot instead.
 //
 // Every follower poll lands here while the journal lock is held; the only
-// permitted allocation is the result buffer itself (a named result, which
-// hotalloc exempts).
-//
-//sit:hotpath
+// permitted allocation is the result buffer itself, and
+// TestTailSinceAllocs holds a read to exactly that one allocation.
 func (j *Journal) TailSince(from uint64) (data []byte, horizon, last uint64, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -123,10 +123,9 @@ func newBucket(rate float64, burst int) *bucket {
 // the arithmetic runs on Go's monotonic clock reading, so wall-clock jumps
 // never mint or burn tokens.
 //
-// Every admitted request passes through here; BenchmarkBucketTake asserts
-// zero allocations and hotalloc enforces it at vet time.
-//
-//sit:hotpath
+// Every admitted request passes through here, so it must not allocate;
+// TestBucketTakeAllocs holds both the admitting and the refusing path to
+// zero allocations.
 func (b *bucket) take(now time.Time) (ok bool, wait time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -163,7 +162,8 @@ func writeRateLimited(w http.ResponseWriter, wait time.Duration) {
 // --- admitters ---
 //
 // Every route the server registers passes through exactly one of these
-// wrappers (the admission sit-vet analyzer enforces it). They run inside
+// wrappers; TestRouteTable maps each pattern to its class and checks the
+// class by behaviour on a keyed leader and on a follower. They run inside
 // instrument (metrics/logging/timeout) and ahead of all handler work, so a
 // rejected request never touches a store, a queue or a journal.
 
@@ -173,8 +173,8 @@ type wsHandler func(*Workspace, http.ResponseWriter, *http.Request)
 
 // admitOpen marks a route deliberately unauthenticated and unlimited
 // (health probes). The explicit wrapper keeps the route table auditable:
-// an unwrapped handler is an analyzer finding, an admitOpen one is a
-// decision.
+// an unwrapped handler fails TestRouteTable's 401 check, an admitOpen one
+// is a decision recorded in its open list.
 func (s *Server) admitOpen(h http.HandlerFunc) http.HandlerFunc { return h }
 
 // admitPeer guards the server-to-server replication stream: admin-scoped

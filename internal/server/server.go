@@ -77,8 +77,14 @@ type Server struct {
 	cfg     Config
 	manager *Manager
 	metrics *Metrics
-	mux     *http.ServeMux
 	log     *slog.Logger
+
+	// table is every route handle registered, in order, and handler is
+	// the mux built from it once routes() has run. Nothing else registers
+	// on the mux, so the table is the whole served surface; TestRouteTable
+	// reads it.
+	table   []route
+	handler http.Handler
 
 	// dcfg, when set, makes every workspace durable: each gets its own
 	// journal under dcfg.Dir/<name>/. Set by Open before any workspace is
@@ -152,7 +158,6 @@ func newServer(cfg Config, dcfg *DurabilityConfig) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: NewMetrics(),
-		mux:     http.NewServeMux(),
 		log:     cfg.Logger,
 		dcfg:    dcfg,
 		limits:  cfg.Limits.withDefaults(),
@@ -162,6 +167,7 @@ func newServer(cfg Config, dcfg *DurabilityConfig) *Server {
 	s.manager = NewManager(cfg.MaxWorkspaces, s.buildWorkspace, s.destroyWorkspace)
 	s.manager.onChange = s.changes.bump
 	s.routes()
+	s.handler = serveMux(s.table)
 	return s
 }
 
@@ -258,15 +264,36 @@ func (s *Server) Store() *Store { return s.defaultWS().store }
 // Metrics exposes the metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// handle registers a route with the standard middleware stack. pattern
+// route is one registered pattern and its instrumented handler.
+type route struct {
+	pattern string
+	h       http.Handler
+}
+
+// handle registers a route with the standard middleware stack: it records
+// the pattern in the route table the serving mux is built from. pattern
 // doubles as the request-metrics label, so it must be a mux pattern. The
-// handler must already be wrapped in an admitter — routes() is checked by
-// the admission analyzer; this function is the sanctioned mux door.
+// handler must already be wrapped in an admitter; TestRouteTable checks
+// each pattern's admission class by behaviour.
 //
-//sit:admission
+// handle stays out of line: inlined into routes(), it would give every
+// route its own copy of instrument's closure code on the request path
+// instead of the one copy all routes share.
+//
 //sit:metriclabel pattern
+//go:noinline
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.mux.Handle(pattern, instrument(pattern, s.log, s.metrics, s.cfg.RequestTimeout, h))
+	s.table = append(s.table, route{pattern, instrument(pattern, s.log, s.metrics, s.cfg.RequestTimeout, h)})
+}
+
+// serveMux builds the serving mux from the route table; it is the only
+// code that registers on a mux.
+func serveMux(table []route) http.Handler {
+	mux := http.NewServeMux()
+	for _, r := range table {
+		mux.Handle(r.pattern, r.h)
+	}
+	return mux
 }
 
 // handleWS registers one data-plane route twice: under the workspace
@@ -275,7 +302,6 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 // handler must already be admitted (admitRead/admitMutate resolve the
 // workspace and run the auth/rate/quota chain).
 //
-//sit:admission
 //sit:metriclabel method suffix
 func (s *Server) handleWS(method, suffix string, h http.HandlerFunc) {
 	s.handle(method+" /v1"+suffix, h)
@@ -283,13 +309,13 @@ func (s *Server) handleWS(method, suffix string, h http.HandlerFunc) {
 }
 
 func (s *Server) routes() {
-	// Every handler passes through exactly one admitter (the admission
-	// analyzer enforces it): admitOpen for probes, admitPeer for the
-	// server-to-server stream, admitAdmin for the control plane, and
-	// admitRead/admitMutate for the data plane — which authenticate,
-	// resolve the workspace, charge the per-key and per-workspace token
-	// buckets and (mutations) apply the follower gate and journal quota
-	// before any handler work runs.
+	// Every handler passes through exactly one admitter (TestRouteTable
+	// holds each pattern's class and checks it by behaviour): admitOpen
+	// for probes, admitPeer for the server-to-server stream, admitAdmin
+	// for the control plane, and admitRead/admitMutate for the data plane
+	// — which authenticate, resolve the workspace, charge the per-key and
+	// per-workspace token buckets and (mutations) apply the follower gate
+	// and journal quota before any handler work runs.
 	s.handle("GET /healthz", s.admitOpen(s.handleHealthz))
 	s.handle("GET /metrics", s.admitAdmin(s.handleMetrics))
 
@@ -343,7 +369,7 @@ func (s *Server) routes() {
 }
 
 // Handler returns the full HTTP handler (httptest and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Start listens on addr ("host:port"; port 0 picks a free one) and serves
 // in the background, returning the bound address. Pair with Shutdown.
@@ -353,7 +379,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	srv := &http.Server{
-		Handler:           s.mux,
+		Handler:           s.handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	s.mu.Lock()

@@ -289,10 +289,10 @@ func (st *Store) touch() {
 // write), so the version stamps cannot move underneath the comparison.
 //
 // A cache hit must cost a map probe, not garbage: this sits under every
-// integration's inner loop.
+// integration's inner loop. TestSimLookupHitAllocs holds a hit to zero
+// allocations.
 //
 //sit:rlocked mu
-//sit:hotpath
 func (st *Store) simLookup(key simKey) (simEntry, bool) {
 	regV := st.ws.Registry().Version()
 	st.simMu.Lock()
@@ -307,10 +307,10 @@ func (st *Store) simLookup(key simKey) (simEntry, bool) {
 }
 
 // simStore records a freshly computed result; callers hold st.mu, so the
-// stamps match the state the result was computed under.
+// stamps match the state the result was computed under. Overwriting an
+// existing key allocates nothing (TestSimStoreAllocs).
 //
 //sit:rlocked mu
-//sit:hotpath
 func (st *Store) simStore(key simKey, e simEntry) {
 	e.regVersion = st.ws.Registry().Version()
 	e.schemaGen = st.schemaGen
@@ -729,10 +729,9 @@ func (st *Store) explainConflicts(eng *assertion.Engine, conflicts []*assertion.
 // not mutate the result.
 //
 // The cached read is the steady state — assertion listings poll this from
-// the UI and the replication tests — so the function body must not
-// allocate (the miss path's garbage lives inside eng.Entries).
-//
-//sit:hotpath
+// the UI and the replication tests — so it must not allocate (the miss
+// path's garbage lives inside eng.Entries); TestAssertionsCachedAllocs
+// holds a cached read to zero allocations.
 func (st *Store) Assertions(schema1, schema2 string, rel bool) ([]assertion.Entry, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
