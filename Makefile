@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -X repro/internal/version.Version=$(VERSION)
 BINDIR   = bin
 
-.PHONY: all build check vet sit-vet test race bench-assertions bench-translate clean
+.PHONY: all build check vet sit-vet test race bench bench-similarity bench-assertions bench-translate clean
 
 all: check
 
@@ -41,6 +41,17 @@ test:
 
 race:
 	go test -race ./...
+
+# bench regenerates the benchmark reports that have writers.
+# BENCH_replication.json is still transcribed by hand from go test -bench.
+bench: bench-similarity bench-assertions bench-translate
+
+# bench-similarity times the dense and sparse ranking and matrix paths at
+# 50..800 objects, the cached store read, and GET /v1/resemblance and
+# GET /v1/matrix served in process at 40 and 200 objects, and rewrites
+# BENCH_similarity.json.
+bench-similarity:
+	go test -run=TestWriteSimilarityBenchReport -similarity-bench-report -timeout 30m .
 
 # bench-assertions sweeps the incremental closure engine against the dense
 # re-closure at 10^3..10^6 assertions and rewrites BENCH_assertions.json.

@@ -5,8 +5,9 @@
 //
 // Fixtures live under the analyzer's testdata/src/<path>/ directory, one
 // package per directory; imports between fixture packages resolve within
-// the same src root, and standard-library imports are type-checked from
-// source. A fixture line expecting a diagnostic carries a trailing
+// the same src root, and standard-library imports load from the export
+// data the go command builds (`go list -export`), as in the modrun
+// driver. A fixture line expecting a diagnostic carries a trailing
 //
 //	// want "regexp"
 //	// want "first" "second"
@@ -27,18 +28,24 @@
 package analyzertest
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/analysis"
 )
@@ -52,7 +59,7 @@ type TB interface {
 }
 
 // loader type-checks fixture packages, resolving fixture-local imports
-// under srcRoot and everything else through the source importer.
+// under srcRoot and everything else from export data.
 type loader struct {
 	fset    *token.FileSet
 	srcRoot string
@@ -73,8 +80,46 @@ func newLoader(srcRoot string) *loader {
 		fset:    fset,
 		srcRoot: srcRoot,
 		pkgs:    map[string]*loaded{},
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", lookupExport),
 	}
+}
+
+// exportFiles maps standard-library import paths to their export data
+// files. It is shared by every loader in the process, so a test binary
+// asks the go command about each package graph once.
+var exportFiles sync.Map
+
+// lookupExport opens the export data of a standard-library package. On a
+// miss it runs `go list -export -deps` for the path, which builds the
+// export data into the go command's cache (once per toolchain) and names
+// the files of the package and everything it imports.
+func lookupExport(path string) (io.ReadCloser, error) {
+	if f, ok := exportFiles.Load(path); ok {
+		return os.Open(f.(string))
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Export", path)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analyzertest: go list -export %s: %v\n%s", path, err, stderr.String())
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("analyzertest: parse go list output: %w", err)
+		}
+		if p.Export != "" {
+			exportFiles.Store(p.ImportPath, p.Export)
+		}
+	}
+	if f, ok := exportFiles.Load(path); ok {
+		return os.Open(f.(string))
+	}
+	return nil, fmt.Errorf("analyzertest: no export data for %q", path)
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {

@@ -7,9 +7,15 @@ import (
 )
 
 // MarshalJSON encodes the kind as its one-letter screen code ("E", "C", "R")
-// so that stored workspaces stay readable.
+// so that stored workspaces stay readable. It runs for every object of
+// every schema encoded, so it quotes the code directly: String's output
+// (a letter, or "Kind(n)" out of range) never needs escaping.
 func (k Kind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(k.String())
+	s := k.String()
+	b := make([]byte, 0, len(s)+2)
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"'), nil
 }
 
 // UnmarshalJSON accepts the one-letter code, the full word, or the numeric

@@ -49,6 +49,34 @@ func TestJSONKindCodes(t *testing.T) {
 	}
 }
 
+// TestKindMarshalJSON pins MarshalJSON to the quoted String form, the
+// bytes json.Marshal(k.String()) produced, in and out of range.
+func TestKindMarshalJSON(t *testing.T) {
+	for _, c := range []struct {
+		k    Kind
+		want string
+	}{
+		{KindEntity, `"E"`},
+		{KindCategory, `"C"`},
+		{KindRelationship, `"R"`},
+		{Kind(7), `"Kind(7)"`},
+		{Kind(-1), `"Kind(-1)"`},
+	} {
+		got, err := c.k.MarshalJSON()
+		if err != nil || string(got) != c.want {
+			t.Errorf("Kind(%d).MarshalJSON() = %s, %v; want %s", int(c.k), got, err, c.want)
+		}
+		quoted, err := json.Marshal(c.k.String())
+		if err != nil || string(quoted) != c.want {
+			t.Errorf("json.Marshal(%q) = %s, %v; want %s", c.k.String(), quoted, err, c.want)
+		}
+		inStruct, err := json.Marshal(struct{ K Kind }{c.k})
+		if want := `{"K":` + c.want + `}`; err != nil || string(inStruct) != want {
+			t.Errorf("in a struct: %s, %v; want %s", inStruct, err, want)
+		}
+	}
+}
+
 func TestJSONCarriesProvenance(t *testing.T) {
 	s := NewSchema("int1")
 	if err := s.AddObject(&ObjectClass{

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http"
 	"testing"
 	"time"
 )
@@ -78,4 +79,34 @@ func TestAssertionsCachedAllocs(t *testing.T) {
 			t.Fatalf("cached read: %d entries, %v; want %d", len(got), err, len(first))
 		}
 	})
+}
+
+// discardResponse keeps one header map and drops the body, so a write
+// through it allocates only what the writer itself allocates.
+type discardResponse struct{ h http.Header }
+
+func (w *discardResponse) Header() http.Header         { return w.h }
+func (w *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardResponse) WriteHeader(int)             {}
+
+// TestResemblanceBodyAllocs pins the write of a cached 40×40 ranking, the
+// design loop's largest read (~360 KB): once a buffer is warm, the only
+// allocation left is the Content-Type header value.
+func TestResemblanceBodyAllocs(t *testing.T) {
+	st := workloadStore(t, 1, 40)
+	pairs, err := st.RankedPairs("w1", "w2", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardResponse{h: http.Header{}}
+	writePairs(w, pairs) // warm a buffer
+	if got := testing.AllocsPerRun(100, func() {
+		cached, _ := st.RankedPairs("w1", "w2", false)
+		if len(cached) != 40*40 {
+			t.Fatalf("ranking has %d pairs, want %d", len(cached), 40*40)
+		}
+		writePairs(w, cached)
+	}); got > 1 {
+		t.Errorf("cached ranking write: %v allocations a call, want at most 1", got)
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/ecr"
 	"repro/internal/integrate"
 	"repro/internal/journal"
-	"repro/internal/mapping"
 	"repro/internal/translate"
 	"repro/internal/version"
 )
@@ -42,14 +41,18 @@ type IntegrationResult struct {
 	ElapsedMs float64         `json:"elapsedMs"`
 }
 
+// newIntegrationResult fills Schema and Mappings with compact JSON. Every
+// encoder of an IntegrationResult (response bodies, job_finish records,
+// snapshots) compacts a RawMessage anyway, so indenting it here would only
+// be undone before the response writer indents the whole body once.
 func newIntegrationResult(res *integrate.Result, elapsed time.Duration) (*IntegrationResult, error) {
-	schemaJSON, err := ecr.EncodeJSON(res.Schema)
+	schemaJSON, err := json.Marshal(res.Schema)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: encode schema %s: %w", res.Schema.Name, err)
 	}
-	mappingsJSON, err := mapping.EncodeJSON(res.Mappings)
+	mappingsJSON, err := json.Marshal(res.Mappings)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: encode mappings of %s: %w", res.Schema.Name, err)
 	}
 	out := &IntegrationResult{
 		Name:      res.Schema.Name,
@@ -399,14 +402,9 @@ func (s *Server) handleSchemaGet(ws *Workspace, w http.ResponseWriter, r *http.R
 		writeError(w, http.StatusNotFound, fmt.Errorf("schema %q not found", name))
 		return
 	}
-	schemaJSON, err := ecr.EncodeJSON(schema)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"name":   schema.Name,
-		"schema": json.RawMessage(schemaJSON),
+		"schema": schema,
 		"ddl":    ecr.FormatSchema(schema),
 	})
 }
@@ -485,7 +483,7 @@ func (s *Server) handleResemblance(ws *Workspace, w http.ResponseWriter, r *http
 		writeError(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"pairs": pairs})
+	writePairs(w, pairs)
 }
 
 func (s *Server) handleMatrix(ws *Workspace, w http.ResponseWriter, r *http.Request) {
@@ -499,7 +497,7 @@ func (s *Server) handleMatrix(ws *Workspace, w http.ResponseWriter, r *http.Requ
 		writeError(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"matrix": m})
+	writeMatrix(w, m)
 }
 
 func (s *Server) handleSuggestions(ws *Workspace, w http.ResponseWriter, r *http.Request) {

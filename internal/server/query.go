@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -56,21 +55,11 @@ func (s *Server) handleIntegrationGet(ws *Workspace, w http.ResponseWriter, r *h
 		writeError(w, errStatus(err), err)
 		return
 	}
-	schemaJSON, err := ecr.EncodeJSON(schema)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	tableJSON, err := mapping.EncodeJSON(table)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"name":     name,
-		"schema":   json.RawMessage(schemaJSON),
+		"schema":   schema,
 		"ddl":      ecr.FormatSchema(schema),
-		"mappings": json.RawMessage(tableJSON),
+		"mappings": table,
 	})
 }
 
