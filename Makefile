@@ -48,7 +48,8 @@ bench: bench-similarity bench-assertions bench-translate
 
 # bench-similarity times the dense and sparse ranking and matrix paths at
 # 50..800 objects, the cached store read, and GET /v1/resemblance and
-# GET /v1/matrix served in process at 40 and 200 objects, and rewrites
+# GET /v1/matrix served in process at 40 and 200 objects (cached, and for
+# the ranking also right after a declare), and rewrites
 # BENCH_similarity.json.
 bench-similarity:
 	go test -run=TestWriteSimilarityBenchReport -similarity-bench-report -timeout 30m .

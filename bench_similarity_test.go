@@ -1,11 +1,12 @@
 // Similarity-engine benchmarks: the dense reference path against the
 // sparse engine at three workload sizes, the count-matrix construction,
 // the server's memoized read path, and the in-process cost of the two
-// HTTP reads the design loop repeats (GET /resemblance and GET /matrix).
+// HTTP reads the design loop repeats (GET /resemblance and GET /matrix),
+// cached and, for the ranking, right after a declaration.
 // BENCH_similarity.json records the numbers; `make bench-similarity`
 // rewrites it from a real sweep.
 //
-// Run with: go test -run='^$' -bench 'RankObjects|ObjectMatrix|StoreCached' -benchmem
+// Run with: go test -run='^$' -bench 'RankObjects|ObjectMatrix|StoreCached|ResemblanceMiss' -benchmem
 package repro_test
 
 import (
@@ -100,11 +101,11 @@ func benchStoreCachedRankedPairs(b *testing.B, st *server.Store, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, err := st.RankedPairs("w1", "w2", false)
+		r, err := st.RankedPairs("w1", "w2", false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pairs) != n*n {
+		if r.Len() != n*n {
 			b.Fatal("pair count wrong")
 		}
 	}
@@ -112,6 +113,87 @@ func benchStoreCachedRankedPairs(b *testing.B, st *server.Store, n int) {
 	if hits, _ := st.SimilarityCacheStats(); hits == 0 {
 		b.Fatal("cache never hit")
 	}
+}
+
+// BenchmarkResemblanceMiss times GET /v1/resemblance right after a
+// declaration, as the design loop reads it: every read misses the
+// similarity cache.
+func BenchmarkResemblanceMiss(b *testing.B) {
+	for _, n := range []int{40, 200} {
+		w := genWorkload(b, n)
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) { benchResemblanceMiss(b, w) })
+	}
+}
+
+// benchResemblanceMiss declares the workload's equivalences one per
+// iteration, untimed, and times the ranking read that follows each
+// through the server's handler. When the declarations run out it starts
+// over on a fresh server, so the rankings go from sparse to as full as the
+// workload makes them, again and again.
+func benchResemblanceMiss(b *testing.B, w *workload.Workload) {
+	eqs := trueEquivalences(w)
+	path := "/v1/resemblance?" + url.Values{"schema1": {"w1"}, "schema2": {"w2"}}.Encode()
+	var (
+		srv  *server.Server
+		st   *server.Store
+		next = len(eqs)
+		body int
+	)
+	restart := func() {
+		if srv != nil {
+			if hits, _ := st.SimilarityCacheStats(); hits != 0 {
+				b.Fatalf("%d ranking reads hit the cache", hits)
+			}
+			_ = srv.Shutdown(context.Background())
+		}
+		st = server.NewStore()
+		if _, err := st.AddSchemas([]*ecr.Schema{w.S1, w.S2}); err != nil {
+			b.Fatal(err)
+		}
+		srv = server.New(server.Config{Store: st})
+		next = 0
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if next == len(eqs) {
+			restart()
+		}
+		e := eqs[next]
+		next++
+		if err := st.DeclareEquivalence(e[0], e[1], e[2], e[3]); err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("GET", path, nil)
+		b.StartTimer()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body.Bytes())
+		}
+		body = rec.Body.Len()
+	}
+	b.StopTimer()
+	_ = srv.Shutdown(context.Background())
+	b.ReportMetric(float64(body), "body_bytes")
+}
+
+// trueEquivalences lists the workload's equivalences as
+// (schema1, ref1, schema2, ref2) declarations, one per class member after
+// the first, skipping pairs within one structure.
+func trueEquivalences(w *workload.Workload) [][4]string {
+	var out [][4]string
+	for _, class := range w.Registry.Classes() {
+		for i := 1; i < len(class); i++ {
+			a, z := class[0], class[i]
+			if a.Schema == z.Schema && a.Object == z.Object {
+				continue
+			}
+			out = append(out, [4]string{a.Schema, a.Object + "." + a.Attr, z.Schema, z.Object + "." + z.Attr})
+		}
+	}
+	return out
 }
 
 // declaredStore loads the workload's schemas into a server store and
@@ -123,17 +205,9 @@ func declaredStore(tb testing.TB, w *workload.Workload) *server.Store {
 	if _, err := st.AddSchemas([]*ecr.Schema{w.S1, w.S2}); err != nil {
 		tb.Fatal(err)
 	}
-	for _, class := range w.Registry.Classes() {
-		for i := 1; i < len(class); i++ {
-			a, z := class[0], class[i]
-			if a.Schema == z.Schema && a.Object == z.Object {
-				continue
-			}
-			if err := st.DeclareEquivalence(
-				a.Schema, a.Object+"."+a.Attr,
-				z.Schema, z.Object+"."+z.Attr); err != nil {
-				tb.Fatal(err)
-			}
+	for _, e := range trueEquivalences(w) {
+		if err := st.DeclareEquivalence(e[0], e[1], e[2], e[3]); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return st
@@ -227,7 +301,7 @@ func TestWriteSimilarityBenchReport(t *testing.T) {
 		t.Skip("run with -similarity-bench-report to rewrite BENCH_similarity.json")
 	}
 	doc := similarityBenchReportDoc{
-		Description: "Dense reference path (internal/resemblance + internal/equivalence, recompute-everything) vs the sparse incremental engine (internal/similarity) on workload.Generate schema pairs; output is byte-identical between the two paths (differential tests in internal/similarity and internal/server). Then the server's cached read path, and GET /v1/resemblance and GET /v1/matrix served in process (server handler into an httptest recorder, no network) with the similarity cache warm: ns, allocations and allocated bytes per request, and the response body size.",
+		Description: "Dense reference path (internal/resemblance + internal/equivalence, recompute-everything) vs the sparse incremental engine (internal/similarity) on workload.Generate schema pairs; output is byte-identical between the two paths (differential tests in internal/similarity and internal/server). Then the server's cached read path, and GET /v1/resemblance and GET /v1/matrix served in process (server handler into an httptest recorder, no network) with the similarity cache warm, and GET /v1/resemblance right after an equivalence declaration (a cache miss, the design loop's read; the declaration is untimed): ns, allocations and allocated bytes per request (the recorder's copy of the body included), and the response body size.",
 		Command:     "make bench-similarity  (go test -run=TestWriteSimilarityBenchReport -similarity-bench-report .)",
 		Environment: benchEnvironment(),
 	}
@@ -262,7 +336,8 @@ func TestWriteSimilarityBenchReport(t *testing.T) {
 	doc.StoreCachedRankedPairs = readRow("Store.RankedPairs", 200,
 		testing.Benchmark(func(b *testing.B) { benchStoreCachedRankedPairs(b, st, 200) }))
 	for _, n := range []int{40, 200} {
-		srv := server.New(server.Config{Store: declaredStore(t, genWorkload(t, n))})
+		w := genWorkload(t, n)
+		srv := server.New(server.Config{Store: declaredStore(t, w)})
 		t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
 		for _, route := range []string{"/v1/resemblance", "/v1/matrix"} {
 			row := readRow("GET "+route, n,
@@ -270,6 +345,10 @@ func TestWriteSimilarityBenchReport(t *testing.T) {
 			t.Logf("%+v", row)
 			doc.HandlerReads = append(doc.HandlerReads, row)
 		}
+		row := readRow("GET /v1/resemblance after a declare", n,
+			testing.Benchmark(func(b *testing.B) { benchResemblanceMiss(b, w) }))
+		t.Logf("%+v", row)
+		doc.HandlerReads = append(doc.HandlerReads, row)
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -2,8 +2,12 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/resemblance"
 )
 
 // The functions below sit on the server's hot read paths: every admitted
@@ -51,14 +55,14 @@ func TestSimLookupHitAllocs(t *testing.T) {
 
 func TestSimStoreAllocs(t *testing.T) {
 	st := paperStore(t)
-	pairs, err := st.RankedPairs("sc1", "sc2", false)
+	rb, err := st.rankedBody("sc1", "sc2", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := simKey{schema1: "sc1", schema2: "sc2"}
 	wantAllocs(t, "Store.simStore over an existing key", 0, func() {
 		st.mu.RLock()
-		st.simStore(key, simEntry{pairs: pairs})
+		st.simStore(key, simEntry{ranking: rb})
 		st.mu.RUnlock()
 	})
 }
@@ -94,19 +98,62 @@ func (w *discardResponse) WriteHeader(int)             {}
 // allocation left is the Content-Type header value.
 func TestResemblanceBodyAllocs(t *testing.T) {
 	st := workloadStore(t, 1, 40)
-	pairs, err := st.RankedPairs("w1", "w2", false)
+	rb, err := st.rankedBody("w1", "w2", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := &discardResponse{h: http.Header{}}
-	writePairs(w, pairs) // warm a buffer
+	writeRanking(w, rb) // warm a buffer
 	if got := testing.AllocsPerRun(100, func() {
-		cached, _ := st.RankedPairs("w1", "w2", false)
-		if len(cached) != 40*40 {
-			t.Fatalf("ranking has %d pairs, want %d", len(cached), 40*40)
+		cached, _ := st.rankedBody("w1", "w2", false)
+		if cached != rb {
+			t.Fatal("similarity cache missed")
 		}
-		writePairs(w, cached)
+		writeRanking(w, cached)
 	}); got > 1 {
 		t.Errorf("cached ranking write: %v allocations a call, want at most 1", got)
+	}
+}
+
+// TestResemblanceMissAllocs pins what the design loop pays on every read
+// after a declare: a fresh 40×40 ranking (below the parallel threshold,
+// so on one goroutine) and its body. Kept sparse, that allocates less
+// than a quarter of what the 1,600 pairs of the dense list alone take.
+// Each window's bytes come from runtime.MemStats.TotalAlloc; the least of
+// five windows is taken, so that a stray background allocation elsewhere
+// in the test binary does not count.
+func TestResemblanceMissAllocs(t *testing.T) {
+	st := workloadStore(t, 1, 40)
+	w := &discardResponse{h: http.Header{}}
+	key := simKey{schema1: "w1", schema2: "w2"}
+	miss := func() {
+		st.simMu.Lock()
+		delete(st.simCache, key)
+		st.simMu.Unlock()
+		rb, err := st.rankedBody("w1", "w2", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb.Len() != 40*40 {
+			t.Fatalf("ranking has %d pairs, want %d", rb.Len(), 40*40)
+		}
+		writeRanking(w, rb)
+	}
+	miss() // warm a buffer
+	const runs = 4
+	best := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			miss()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	limit := uint64(40*40*unsafe.Sizeof(resemblance.Pair{})) / 4
+	t.Logf("ranking miss: %d bytes a call (limit %d)", best, limit)
+	if best >= limit {
+		t.Errorf("ranking miss: %d bytes a call, want under %d", best, limit)
 	}
 }

@@ -78,12 +78,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v with a two-space indent and a trailing newline and
+// sends it with status. v is encoded before anything is sent, so a value
+// that cannot be encoded (a NaN ratio, say) is answered 500 with the error
+// rather than an empty body under status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.MarshalIndent(errorBody{Error: err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // writeError renders an error body. Every 429 and 503 the server writes
@@ -478,12 +485,12 @@ func (s *Server) handleResemblance(ws *Workspace, w http.ResponseWriter, r *http
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pairs, err := ws.store.RankedPairs(s1, s2, rel)
+	rb, err := ws.store.rankedBody(s1, s2, rel)
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
 	}
-	writePairs(w, pairs)
+	writeRanking(w, rb)
 }
 
 func (s *Server) handleMatrix(ws *Workspace, w http.ResponseWriter, r *http.Request) {

@@ -1,26 +1,30 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
+	"reflect"
 	"slices"
 	"strconv"
 	"unicode/utf8"
 
 	"repro/internal/equivalence"
 	"repro/internal/resemblance"
+	"repro/internal/similarity"
 )
 
 // The design loop re-reads the resemblance ranking and the ACS/OCS matrix
 // after every equivalence it declares. The ranking of a 40×40 pair is a
 // ~360 KB body, and writing it through writeJSON (reflection, a compact
 // pass, then an indent pass) cost ~40× computing it. The appenders below
-// write the two bodies in one pass into a reused buffer. Their output is
-// byte-for-byte what writeJSON writes for map[string]any{"pairs": pairs}
-// and map[string]any{"matrix": m}: encoding/json's string escaping (with
-// HTML escaping) and float format, null for a nil slice, a two-space
-// indent and the trailing newline. jsonbody_test.go holds writeJSON as the
-// oracle.
+// write the two bodies in one pass into a reused buffer; the ranking is
+// written from its sparse form (rankedBody), so no pair is built for its
+// ~95% zero cells. Their output is byte-for-byte what writeJSON writes for
+// map[string]any{"pairs": pairs} and map[string]any{"matrix": m}:
+// encoding/json's string escaping (with HTML escaping) and float format,
+// null for a nil slice, a two-space indent and the trailing newline.
+// jsonbody_test.go and ranking_body_test.go hold writeJSON as the oracle.
 
 // bodyBufs is a small free list of response buffers. It is a channel
 // rather than a sync.Pool so that buffers survive garbage collections (a
@@ -51,43 +55,148 @@ func putBody(b []byte) {
 	}
 }
 
-// writePairs writes the body of GET /resemblance.
-func writePairs(w http.ResponseWriter, pairs []resemblance.Pair) {
+// writeRanking writes the body of GET /resemblance.
+func writeRanking(w http.ResponseWriter, rb *rankedBody) {
 	// A pair takes ~225 bytes; reserving 256 turns a ranking too big for
 	// any kept buffer into one allocation, not a chain of regrowths.
-	b, ok := appendPairsBody(slices.Grow(getBody(), 256*len(pairs)), pairs)
-	writeBody(w, b, ok)
+	b, err := appendPairsBody(slices.Grow(getBody(), 256*rb.Len()), rb.Head, rb)
+	writeBody(w, b, err)
 	putBody(b)
 }
 
 // writeMatrix writes the body of GET /matrix.
 func writeMatrix(w http.ResponseWriter, m *equivalence.Matrix) {
 	b := appendMatrixBody(getBody(), m)
-	writeBody(w, b, true)
+	writeBody(w, b, nil)
 	putBody(b)
 }
 
-// writeBody sends a 200 with the appended body. Like writeJSON, a body
-// that cannot be encoded (a NaN or infinite ratio) leaves the 200 empty.
-func writeBody(w http.ResponseWriter, b []byte, ok bool) {
+// writeBody sends a 200 with the appended body or, like writeJSON, a 500
+// with the error when the body could not be encoded (a NaN or infinite
+// ratio).
+func writeBody(w http.ResponseWriter, b []byte, err error) {
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if ok {
-		_, _ = w.Write(b)
-	}
+	_, _ = w.Write(b)
 }
 
-// appendPairsBody appends {"pairs": pairs} as writeJSON renders it. ok is
-// false when a ratio is NaN or infinite, which encoding/json refuses.
-func appendPairsBody(dst []byte, pairs []resemblance.Pair) (_ []byte, ok bool) {
-	for i := range pairs {
-		if r := pairs[i].Ratio; math.IsNaN(r) || math.IsInf(r, 0) {
-			return dst, false
+// rankedBody is a cached ranking with the pieces its zero pairs are put
+// together from. A zero pair's body is its row's first piece, its
+// column's first piece, its row's second piece, its column's second
+// piece, the smaller attribute count and zeroTail: only the count is
+// formatted per pair. The pieces are quoted once, when the ranking is
+// computed, and cost O(structures) bytes; the pairs' bytes are not kept.
+type rankedBody struct {
+	*similarity.Ranking
+	// rows holds each row's two pieces back to back: row i's are
+	// rows[rowCut[2i]:rowCut[2i+1]] and rows[rowCut[2i+1]:rowCut[2i+2]].
+	// cols and colCut are laid out the same way.
+	rows, cols     []byte
+	rowCut, colCut []int
+}
+
+// zeroTail ends every zero pair: a zero pair's ratio is 0.
+const zeroTail = ",\n      \"Ratio\": 0\n    }"
+
+func newRankedBody(r *similarity.Ranking) *rankedBody {
+	rb := &rankedBody{Ranking: r}
+	rb.rows, rb.rowCut = quotePieces(r.Rows, 128+len(r.Rows.Schema)+len(r.Cols.Schema), func(dst []byte, i int) ([]byte, int) {
+		dst = append(dst, "{\n      \"Schema1\": "...)
+		dst = appendString(dst, r.Rows.Schema)
+		dst = append(dst, ",\n      \"Object1\": "...)
+		dst = appendString(dst, r.Rows.Names[i])
+		dst = append(dst, ",\n      \"Schema2\": "...)
+		dst = appendString(dst, r.Cols.Schema)
+		dst = append(dst, ",\n      \"Object2\": "...)
+		cut := len(dst)
+		dst = append(dst, ",\n      \"Kind1\": "...)
+		dst = appendString(dst, r.Rows.Kinds[i].String())
+		return append(dst, ",\n      \"Kind2\": "...), cut
+	})
+	rb.cols, rb.colCut = quotePieces(r.Cols, 64, func(dst []byte, j int) ([]byte, int) {
+		dst = appendString(dst, r.Cols.Names[j])
+		cut := len(dst)
+		dst = appendString(dst, r.Cols.Kinds[j].String())
+		return append(dst, ",\n      \"Equivalent\": 0,\n      \"SmallerAttrs\": "...), cut
+	})
+	return rb
+}
+
+// quotePieces appends the two pieces of every structure of sd into one
+// buffer and returns it with the cuts between them. piece appends
+// structure k's pieces and says where the first ends; each structure's
+// pieces take about its name's length plus perName bytes.
+func quotePieces(sd similarity.Side, perName int, piece func(dst []byte, k int) ([]byte, int)) ([]byte, []int) {
+	size := 0
+	for _, name := range sd.Names {
+		size += len(name) + perName
+	}
+	buf := make([]byte, 0, size)
+	cuts := make([]int, 1, 2*len(sd.Names)+1)
+	for k := range sd.Names {
+		var cut int
+		buf, cut = piece(buf, k)
+		cuts = append(cuts, cut, len(buf))
+	}
+	return buf, cuts
+}
+
+// appendPairsBody appends {"pairs": list} as writeJSON renders it, where
+// list is head followed, when zeros is not nil, by zeros' zero pairs in
+// declaration order. It fails, as encoding/json does, when a ratio in
+// head is NaN or infinite.
+func appendPairsBody(dst []byte, head []resemblance.Pair, zeros *rankedBody) ([]byte, error) {
+	for i := range head {
+		if r := head[i].Ratio; math.IsNaN(r) || math.IsInf(r, 0) {
+			return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(r), Str: strconv.FormatFloat(r, 'g', -1, 64)}
 		}
 	}
 	dst = append(dst, "{\n  \"pairs\": "...)
-	dst = appendList(dst, pairs, 1, appendPair)
-	return append(dst, "\n}\n"...), true
+	switch {
+	case zeros == nil && head == nil:
+		dst = append(dst, "null"...)
+	case len(head) == 0 && (zeros == nil || zeros.Len() == 0):
+		dst = append(dst, "[]"...)
+	default:
+		// Every element goes after ",\n    "; the first comma then
+		// becomes the opening bracket.
+		open := len(dst)
+		for _, p := range head {
+			dst = append(dst, ",\n    "...)
+			dst = appendPair(dst, p)
+		}
+		if zeros != nil {
+			dst = zeros.appendZeroPairs(dst)
+		}
+		dst[open] = '['
+		dst = append(dst, "\n  ]"...)
+	}
+	return append(dst, "\n}\n"...), nil
+}
+
+// appendZeroPairs appends the ranking's zero pairs, each after ",\n    ",
+// in row-major order.
+func (rb *rankedBody) appendZeroPairs(dst []byte) []byte {
+	for i, a1 := range rb.Rows.Attrs {
+		row1, row2 := rb.rows[rb.rowCut[2*i]:rb.rowCut[2*i+1]], rb.rows[rb.rowCut[2*i+1]:rb.rowCut[2*i+2]]
+		for j, a2 := range rb.Cols.Attrs {
+			if !rb.Zero(i, j) {
+				continue
+			}
+			dst = append(dst, ",\n    "...)
+			dst = append(dst, row1...)
+			dst = append(dst, rb.cols[rb.colCut[2*j]:rb.colCut[2*j+1]]...)
+			dst = append(dst, row2...)
+			dst = append(dst, rb.cols[rb.colCut[2*j+1]:rb.colCut[2*j+2]]...)
+			dst = appendInt(dst, min(a1, a2))
+			dst = append(dst, zeroTail...)
+		}
+	}
+	return dst
 }
 
 // appendPair appends one ranked pair, its opening brace at indent depth 2.

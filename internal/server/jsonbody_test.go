@@ -41,11 +41,15 @@ func window(b []byte, i int) []byte {
 	return b[lo:hi]
 }
 
-func checkPairs(t testing.TB, what string, pairs []resemblance.Pair) {
+// checkPairs writes pairs as a ranking body with nothing after the list
+// and compares the response with writeJSON's; it returns the status.
+func checkPairs(t testing.TB, what string, pairs []resemblance.Pair) int {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	writePairs(rec, pairs)
+	b, err := appendPairsBody(nil, pairs, nil)
+	writeBody(rec, b, err)
 	checkSameResponse(t, what, rec, oracleBody(t, map[string]any{"pairs": pairs}))
+	return rec.Code
 }
 
 func checkMatrix(t testing.TB, what string, m *equivalence.Matrix) {
@@ -87,11 +91,7 @@ func TestResponseAppendMatchesWriteJSONOnWorkloads(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		st := workloadStore(t, seed, 40)
 		for _, rel := range []bool{false, true} {
-			pairs, err := st.RankedPairs("w1", "w2", rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkPairs(t, "ranking", pairs)
+			checkRanking(t, "ranking", st, "w1", "w2", rel)
 			m, err := st.Matrix("w1", "w2", rel)
 			if err != nil {
 				t.Fatal(err)
@@ -110,7 +110,9 @@ func TestResponseAppendEdgeCases(t *testing.T) {
 			Kind1: ecr.KindCategory, Kind2: ecr.KindRelationship, Equivalent: -3, SmallerAttrs: 1 << 40, Ratio: r}})
 	}
 	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		checkPairs(t, "unencodable ratio", []resemblance.Pair{{Ratio: 0.5}, {Ratio: r}})
+		if code := checkPairs(t, "unencodable ratio", []resemblance.Pair{{Ratio: 0.5}, {Ratio: r}}); code != http.StatusInternalServerError {
+			t.Errorf("unencodable ratio %v: status %d, want 500", r, code)
+		}
 	}
 	checkPairs(t, "escapes", []resemblance.Pair{{
 		Schema1: "<a>&\"b\\", Object1: "\x00\x01\x1f\x7f\b\f\n\r\t", Schema2: "\u2028\u2029\u00e9\U0001F600",

@@ -57,14 +57,6 @@ const maxStreamWait = 25 * time.Second
 // requests at once) waits at most this long on it.
 const followWait = time.Second
 
-// changeBatch is how long the leader holds a workspace-list request that a
-// change woke before it answers, so that the writes of a burst reach a
-// follower in one round (one list answer, one records fetch per workspace)
-// rather than one round each. It also keeps that round off the request
-// that follows the write, which it would otherwise slow on a host the
-// leader shares with the follower.
-const changeBatch = 2 * time.Millisecond
-
 // changeFeed is the leader-wide change counter behind the workspace list's
 // long-poll: every journal append or reset and every workspace create or
 // delete bumps it, waking the list requests held on it.
@@ -639,8 +631,7 @@ func (s *Server) awaitChange(r *http.Request, changed <-chan struct{}, deadline 
 // and the leader-wide change version, read before the list is built. A
 // request carrying ?since is held (up to ?wait) until the version differs
 // from since, so a follower learns of any write, create or delete with one
-// request instead of polling every workspace; once a change wakes it, it
-// answers changeBatch later.
+// request instead of polling every workspace. A change answers it at once.
 func (s *Server) handleReplWorkspaces(w http.ResponseWriter, r *http.Request) {
 	if s.dcfg == nil {
 		writeError(w, http.StatusConflict,
@@ -669,16 +660,7 @@ func (s *Server) handleReplWorkspaces(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, s.replList(version))
 			return
 		}
-		err := s.awaitChange(r, changed, deadline)
-		if err == nil {
-			// Let the rest of a burst of writes join this answer.
-			end := time.Now().Add(changeBatch)
-			if end.After(deadline) {
-				end = deadline
-			}
-			err = s.awaitChange(r, nil, end)
-		}
-		if err != nil {
+		if err := s.awaitChange(r, changed, deadline); err != nil {
 			writeError(w, http.StatusRequestTimeout, err)
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -732,11 +733,11 @@ func TestMixedVersionsDoNotBusyLoop(t *testing.T) {
 	})
 }
 
-// TestHeldListAnswersAfterTheChangeBatch: a list request held at the
-// current version answers changeBatch after the change that wakes it, not
-// at once, so the writes right behind that change travel in the same
-// answer.
-func TestHeldListAnswersAfterTheChangeBatch(t *testing.T) {
+// TestHeldListAnswersAtTheChange: a list request held at the current
+// version answers with the new version as soon as a change wakes it, not
+// after a batching window, so a follower starts fetching the write at
+// once.
+func TestHeldListAnswersAtTheChange(t *testing.T) {
 	leader, _ := openDurable(t, t.TempDir(), journal.Hooks{})
 	defer leader.Kill()
 	ts := httptest.NewServer(leader.Handler())
@@ -757,24 +758,22 @@ func TestHeldListAnswersAfterTheChangeBatch(t *testing.T) {
 	}()
 	time.Sleep(200 * time.Millisecond) // let the request park
 
-	var bumped time.Time
-	leader.manager.onChange = func() {
-		bumped = time.Now()
-		leader.changes.bump()
-	}
 	if _, err := leader.Workspaces().Create("ws-a"); err != nil {
 		t.Fatal(err)
 	}
+	bumped := time.Now()
 	select {
 	case a := <-done:
-		took := time.Since(bumped)
 		if a.err != nil {
 			t.Fatal(a.err)
 		}
-		if a.list.Version == first.Version || took < changeBatch || took > 5*time.Second {
-			t.Fatalf("held list: version %d (since %d) after %v, want a new version after %v",
-				a.list.Version, first.Version, took, changeBatch)
+		if a.list.Version == first.Version {
+			t.Fatalf("held list answered version %d, the version it was held at", a.list.Version)
 		}
+		if !slices.ContainsFunc(a.list.Workspaces, func(w replication.WorkspaceStatus) bool { return w.Name == "ws-a" }) {
+			t.Fatalf("held list answered %+v without the new workspace", a.list.Workspaces)
+		}
+		t.Logf("held list answered %v after the create", time.Since(bumped))
 	case <-time.After(5 * time.Second):
 		t.Fatal("held list request still parked 5s after a create")
 	}

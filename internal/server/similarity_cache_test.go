@@ -56,6 +56,16 @@ func freshDense(st *Store, schema1, schema2 string, rel bool) []resemblance.Pair
 	return resemblance.RankObjects(s1, s2, st.ws.Registry())
 }
 
+// rankedPairs reads the store's cached ranking and expands it to the full
+// pair list.
+func rankedPairs(st *Store, schema1, schema2 string, rel bool) ([]resemblance.Pair, error) {
+	r, err := st.RankedPairs(schema1, schema2, rel)
+	if err != nil {
+		return nil, err
+	}
+	return r.Pairs(), nil
+}
+
 func requireSameRanking(t *testing.T, label string, got, want []resemblance.Pair) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -79,7 +89,7 @@ func TestRankedPairsCacheCorrectness(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		got, err := st.RankedPairs("u1", "u2", false)
+		got, err := rankedPairs(st, "u1", "u2", false)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -129,7 +139,7 @@ func TestRankedPairsCacheCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after-schema-replace")
-	got, err := st.RankedPairs("u1", "u2", false)
+	got, err := rankedPairs(st, "u1", "u2", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +284,7 @@ func TestConcurrentRankedPairsAndDeclares(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := st.RankedPairs("c1", "c2", rel); err != nil {
+				if _, err := rankedPairs(st, "c1", "c2", rel); err != nil {
 					t.Error(err)
 					return
 				}
@@ -298,7 +308,7 @@ func TestConcurrentRankedPairsAndDeclares(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	got, err := st.RankedPairs("c1", "c2", false)
+	got, err := rankedPairs(st, "c1", "c2", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/resemblance"
 	"repro/internal/session"
+	"repro/internal/similarity"
 )
 
 // Store is the concurrency-safe layer over a session.Workspace. The
@@ -108,7 +109,7 @@ type simKey struct {
 type simEntry struct {
 	regVersion uint64
 	schemaGen  uint64
-	pairs      []resemblance.Pair
+	ranking    *rankedBody
 	matrix     *equivalence.Matrix
 }
 
@@ -520,12 +521,22 @@ func (st *Store) schemaPair(schema1, schema2 string) (*ecr.Schema, *ecr.Schema, 
 	return s1, s2, nil
 }
 
-// RankedPairs returns the resemblance-ranked object-class (or, with rel,
-// relationship-set) pairs of the two schemas. Results are computed on the
-// workspace's sparse similarity engine and memoized until an equivalence
-// declaration or a schema change invalidates them; callers must not mutate
-// the returned slice.
-func (st *Store) RankedPairs(schema1, schema2 string, rel bool) ([]resemblance.Pair, error) {
+// RankedPairs returns the resemblance ranking of the object classes (or,
+// with rel, the relationship sets) of the two schemas, held sparsely
+// (Ranking.Pairs expands it). Rankings are computed on the workspace's
+// sparse similarity engine and memoized until an equivalence declaration
+// or a schema change invalidates them; callers must not modify the result.
+func (st *Store) RankedPairs(schema1, schema2 string, rel bool) (*similarity.Ranking, error) {
+	rb, err := st.rankedBody(schema1, schema2, rel)
+	if err != nil {
+		return nil, err
+	}
+	return rb.Ranking, nil
+}
+
+// rankedBody returns the memoized ranking with the pieces
+// GET /resemblance writes its zero pairs from, both computed on a miss.
+func (st *Store) rankedBody(schema1, schema2 string, rel bool) (*rankedBody, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s1, s2, err := st.schemaPair(schema1, schema2)
@@ -534,16 +545,11 @@ func (st *Store) RankedPairs(schema1, schema2 string, rel bool) ([]resemblance.P
 	}
 	key := simKey{schema1: schema1, schema2: schema2, rel: rel}
 	if e, ok := st.simLookup(key); ok {
-		return e.pairs, nil
+		return e.ranking, nil
 	}
-	var pairs []resemblance.Pair
-	if rel {
-		pairs = st.ws.RankRelationships(s1, s2)
-	} else {
-		pairs = st.ws.RankObjects(s1, s2)
-	}
-	st.simStore(key, simEntry{pairs: pairs})
-	return pairs, nil
+	rb := newRankedBody(st.ws.Similarity().Rank(s1, s2, rel))
+	st.simStore(key, simEntry{ranking: rb})
+	return rb, nil
 }
 
 // Matrix returns the attribute-equivalence count matrix of the two schemas

@@ -156,14 +156,14 @@ func TestStoreEquivalences(t *testing.T) {
 func TestStoreRankedPairsAndSuggestions(t *testing.T) {
 	st := paperStore(t)
 	declarePaperEquivalences(t, st)
-	pairs, err := st.RankedPairs("sc1", "sc2", false)
+	pairs, err := rankedPairs(st, "sc1", "sc2", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pairs) == 0 || pairs[0].Ratio < pairs[len(pairs)-1].Ratio {
 		t.Errorf("pairs not ranked: %+v", pairs)
 	}
-	if _, err := st.RankedPairs("sc1", "nope", false); err == nil {
+	if _, err := rankedPairs(st, "sc1", "nope", false); err == nil {
 		t.Error("unknown schema accepted")
 	}
 	cands, err := st.Suggest("sc1", "sc2", 0.9)
@@ -332,7 +332,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 					st.SchemaNames()
 					_ = st.Schema("sc1")
 				case 2:
-					if _, err := st.RankedPairs("sc1", "sc2", i%2 == 1); err != nil {
+					if _, err := rankedPairs(st, "sc1", "sc2", i%2 == 1); err != nil {
 						t.Error(err)
 						return
 					}

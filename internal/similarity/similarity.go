@@ -18,8 +18,12 @@
 //     engine stays valid across any sequence of equivalence edits.
 //   - Ranking exploits sparsity a second time: pairs with no shared class
 //     sort strictly after every pair with one, tied among themselves in
-//     declaration order — exactly the order they are generated in. Only the
-//     nonzero pairs (typically ~n of n²) are actually sorted.
+//     declaration order — exactly the order they are generated in. A
+//     Ranking (Engine.Rank) therefore builds and sorts only the nonzero
+//     pairs (typically ~n of n²), its head, and keeps the count grid to
+//     tell which cells are zero. Ranking.Pairs expands it to the full
+//     list; the server writes GET /v1/resemblance straight from the head
+//     and the grid, without building a pair for any zero cell.
 //   - Above a size threshold the accumulation and the pair construction
 //     (the sort's key extraction) fan out across a GOMAXPROCS-bounded set
 //     of workers partitioned by row, keeping writes disjoint.
@@ -147,40 +151,40 @@ func (e *Engine) MemberRemoved(id int, a ecr.AttrRef) {
 	}
 }
 
-// side is one schema's structures as a query sees them: names, kinds and
+// Side is one schema's structures as a query sees them: names, kinds and
 // attribute counts in declaration order.
-type side struct {
-	schema string
-	names  []string
-	kinds  []ecr.Kind
-	nattrs []int
+type Side struct {
+	Schema string
+	Names  []string
+	Kinds  []ecr.Kind
+	Attrs  []int
 }
 
-func newSide(s *ecr.Schema, rel bool) side {
+func newSide(s *ecr.Schema, rel bool) Side {
 	if rel {
-		sd := side{
-			schema: s.Name,
-			names:  make([]string, 0, len(s.Relationships)),
-			kinds:  make([]ecr.Kind, 0, len(s.Relationships)),
-			nattrs: make([]int, 0, len(s.Relationships)),
+		sd := Side{
+			Schema: s.Name,
+			Names:  make([]string, 0, len(s.Relationships)),
+			Kinds:  make([]ecr.Kind, 0, len(s.Relationships)),
+			Attrs:  make([]int, 0, len(s.Relationships)),
 		}
 		for _, r := range s.Relationships {
-			sd.names = append(sd.names, r.Name)
-			sd.kinds = append(sd.kinds, ecr.KindRelationship)
-			sd.nattrs = append(sd.nattrs, len(r.Attributes))
+			sd.Names = append(sd.Names, r.Name)
+			sd.Kinds = append(sd.Kinds, ecr.KindRelationship)
+			sd.Attrs = append(sd.Attrs, len(r.Attributes))
 		}
 		return sd
 	}
-	sd := side{
-		schema: s.Name,
-		names:  make([]string, 0, len(s.Objects)),
-		kinds:  make([]ecr.Kind, 0, len(s.Objects)),
-		nattrs: make([]int, 0, len(s.Objects)),
+	sd := Side{
+		Schema: s.Name,
+		Names:  make([]string, 0, len(s.Objects)),
+		Kinds:  make([]ecr.Kind, 0, len(s.Objects)),
+		Attrs:  make([]int, 0, len(s.Objects)),
 	}
 	for _, o := range s.Objects {
-		sd.names = append(sd.names, o.Name)
-		sd.kinds = append(sd.kinds, o.Kind)
-		sd.nattrs = append(sd.nattrs, len(o.Attributes))
+		sd.Names = append(sd.Names, o.Name)
+		sd.Kinds = append(sd.Kinds, o.Kind)
+		sd.Attrs = append(sd.Attrs, len(o.Attributes))
 	}
 	return sd
 }
@@ -189,8 +193,8 @@ func newSide(s *ecr.Schema, rel bool) side {
 // the engine so post-processing (pair construction, sorting) runs outside
 // the engine lock.
 type grid struct {
-	rows, cols side
-	counts     []int32 // len(rows.names) × len(cols.names), row-major
+	rows, cols Side
+	counts     []int32 // len(rows.Names) × len(cols.Names), row-major
 }
 
 // mark projects one query side onto the index: pos[ownerID] = index+1 for
@@ -201,7 +205,7 @@ type grid struct {
 // path's behavior of only looking up attributes the schema still declares.
 //
 //sit:rlocked mu
-func (e *Engine) mark(s *ecr.Schema, rel bool, sd side, pos []int32, live []bool) {
+func (e *Engine) mark(s *ecr.Schema, rel bool, sd Side, pos []int32, live []bool) {
 	markAttrs := func(name string, kind ecr.Kind, attrs []ecr.Attribute, idx int) {
 		if oid, ok := e.owners[ownerKey{schema: s.Name, object: name, kind: kind}]; ok {
 			pos[oid] = int32(idx + 1)
@@ -232,7 +236,7 @@ func (e *Engine) newGrid(s1, s2 *ecr.Schema, rel bool) grid {
 	defer e.mu.RUnlock()
 
 	g := grid{rows: newSide(s1, rel), cols: newSide(s2, rel)}
-	nr, nc := len(g.rows.names), len(g.cols.names)
+	nr, nc := len(g.rows.Names), len(g.cols.Names)
 	g.counts = make([]int32, nr*nc)
 	if nr == 0 || nc == 0 || len(e.multi) == 0 {
 		return g
@@ -262,8 +266,8 @@ func (e *Engine) newGrid(s1, s2 *ecr.Schema, rel bool) grid {
 //
 //sit:rlocked mu
 func (e *Engine) accumulate(g *grid, rowPos, colPos []int32, live []bool, lo, hi int) {
-	nc := len(g.cols.names)
-	rowTok := make([]int32, len(g.rows.names))
+	nc := len(g.cols.Names)
+	rowTok := make([]int32, len(g.rows.Names))
 	colTok := make([]int32, nc)
 	var rlist, clist []int32
 	tok := int32(0)
@@ -297,28 +301,44 @@ func (e *Engine) accumulate(g *grid, rowPos, colPos []int32, live []bool, lo, hi
 // exactly as resemblance.RankObjects orders them: decreasing attribute
 // ratio, then decreasing equivalent count, then schema declaration order.
 func (e *Engine) RankObjects(s1, s2 *ecr.Schema) []resemblance.Pair {
-	return e.rank(s1, s2, false)
+	return e.Rank(s1, s2, false).Pairs()
 }
 
 // RankRelationships ranks the relationship-set pairs the same way.
 func (e *Engine) RankRelationships(s1, s2 *ecr.Schema) []resemblance.Pair {
-	return e.rank(s1, s2, true)
+	return e.Rank(s1, s2, true).Pairs()
 }
 
-func (e *Engine) rank(s1, s2 *ecr.Schema, rel bool) []resemblance.Pair {
-	g := e.newGrid(s1, s2, rel)
-	nr, nc := len(g.rows.names), len(g.cols.names)
-	total := nr * nc
-	out := make([]resemblance.Pair, total)
-	if total == 0 {
-		return out
-	}
+// Ranking is the resemblance ranking of one schema pair's object classes
+// (or relationship sets), held sparsely: only the pairs that share an
+// equivalence class are built and sorted. The zero pairs all tie at ratio
+// 0 and count 0, so they rank after every other pair in declaration order
+// (row-major over Rows × Cols), and the count grid is enough to say which
+// cells they are. A Ranking is immutable; callers must not modify it.
+type Ranking struct {
+	// Rows and Cols are the structures of the first and second schema.
+	Rows, Cols Side
+	// Head holds the nonzero pairs in rank order. It is the start of
+	// Pairs().
+	Head []resemblance.Pair
 
-	// Census: nonzero cells per row, then prefix sums. Sorted nonzero pairs
-	// occupy out[:nnz]; zero pairs follow in generation order, which is the
-	// order the total comparator assigns them anyway (all tie at ratio 0,
-	// equivalent 0, breaking on declaration order).
-	prefix := make([]int, nr+1)
+	counts []int32 // the pair counts, row-major over Rows × Cols
+	// nonzeroBefore[i] counts the nonzero pairs in the rows before row i.
+	nonzeroBefore []int
+}
+
+// Rank computes the sparse ranking of the two schemas' object classes, or
+// with rel their relationship sets. It allocates the count grid and
+// O(nonzero pairs + structures), not a pair for every cell.
+func (e *Engine) Rank(s1, s2 *ecr.Schema, rel bool) *Ranking {
+	g := e.newGrid(s1, s2, rel)
+	r := &Ranking{Rows: g.rows, Cols: g.cols, counts: g.counts}
+	nr, nc := len(g.rows.Names), len(g.cols.Names)
+	parallel := nr*nc >= parallelPairs
+
+	// Census: nonzero cells per row, then prefix sums, so that workers
+	// over disjoint rows know where their pairs go.
+	r.nonzeroBefore = make([]int, nr+1)
 	countNonzero := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			n := 0
@@ -327,45 +347,39 @@ func (e *Engine) rank(s1, s2 *ecr.Schema, rel bool) []resemblance.Pair {
 					n++
 				}
 			}
-			prefix[i+1] = n
+			r.nonzeroBefore[i+1] = n
 		}
 	}
-	parallel := total >= parallelPairs
 	if parallel {
 		forRowRanges(nr, countNonzero)
 	} else {
 		countNonzero(0, nr)
 	}
 	for i := 0; i < nr; i++ {
-		prefix[i+1] += prefix[i]
+		r.nonzeroBefore[i+1] += r.nonzeroBefore[i]
 	}
-	nnz := prefix[nr]
+	nnz := r.nonzeroBefore[nr]
 
-	// Key extraction: build the Pair records, nonzero pairs packed at the
-	// front (with their generation rank for tie-breaking), zero pairs at
-	// their final positions. Row-partitioned workers write disjoint slots.
+	// Key extraction: build the nonzero pairs with their generation rank
+	// for tie-breaking, then sort them.
+	r.Head = make([]resemblance.Pair, nnz)
 	ord := make([]int, nnz)
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			nzAt := prefix[i]
-			zAt := nnz + i*nc - prefix[i]
-			base := i * nc
-			for j := 0; j < nc; j++ {
-				eq := int(g.counts[base+j])
-				p := resemblance.Pair{
-					Schema1: g.rows.schema, Object1: g.rows.names[i], Kind1: g.rows.kinds[i],
-					Schema2: g.cols.schema, Object2: g.cols.names[j], Kind2: g.cols.kinds[j],
-					Equivalent:   eq,
-					SmallerAttrs: min(g.rows.nattrs[i], g.cols.nattrs[j]),
-					Ratio:        resemblance.AttributeRatio(eq, g.rows.nattrs[i], g.cols.nattrs[j]),
-				}
-				if eq > 0 {
-					out[nzAt] = p
-					ord[nzAt] = base + j
-					nzAt++
-				} else {
-					out[zAt] = p
-					zAt++
+			at := r.nonzeroBefore[i]
+			a1 := g.rows.Attrs[i]
+			for j, c := range g.counts[i*nc : (i+1)*nc] {
+				if c > 0 {
+					eq, a2 := int(c), g.cols.Attrs[j]
+					r.Head[at] = resemblance.Pair{
+						Schema1: g.rows.Schema, Object1: g.rows.Names[i], Kind1: g.rows.Kinds[i],
+						Schema2: g.cols.Schema, Object2: g.cols.Names[j], Kind2: g.cols.Kinds[j],
+						Equivalent:   eq,
+						SmallerAttrs: min(a1, a2),
+						Ratio:        resemblance.AttributeRatio(eq, a1, a2),
+					}
+					ord[at] = i*nc + j
+					at++
 				}
 			}
 		}
@@ -375,8 +389,46 @@ func (e *Engine) rank(s1, s2 *ecr.Schema, rel bool) []resemblance.Pair {
 	} else {
 		fill(0, nr)
 	}
+	sort.Sort(&pairSorter{pairs: r.Head, ord: ord})
+	return r
+}
 
-	sort.Sort(&pairSorter{pairs: out[:nnz], ord: ord})
+// Len is the number of pairs in the ranking, zero pairs included.
+func (r *Ranking) Len() int { return len(r.counts) }
+
+// Zero reports whether row i and column j share no equivalence class, so
+// that their pair is not in Head but among the zero pairs after it.
+func (r *Ranking) Zero(i, j int) bool { return r.counts[i*len(r.Cols.Names)+j] == 0 }
+
+// Pairs expands the ranking into every pair in rank order: Head, then the
+// zero pairs in declaration order. The result is element for element what
+// resemblance.RankObjects (or RankRelationships) returns.
+func (r *Ranking) Pairs() []resemblance.Pair {
+	nr, nc := len(r.Rows.Names), len(r.Cols.Names)
+	out := make([]resemblance.Pair, nr*nc)
+	nnz := copy(out, r.Head)
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			at := nnz + i*nc - r.nonzeroBefore[i]
+			// A zero pair's count and ratio are 0; only the column's
+			// fields change along a row.
+			zero := resemblance.Pair{Schema1: r.Rows.Schema, Object1: r.Rows.Names[i], Kind1: r.Rows.Kinds[i],
+				Schema2: r.Cols.Schema}
+			a1 := r.Rows.Attrs[i]
+			for j, c := range r.counts[i*nc : (i+1)*nc] {
+				if c == 0 {
+					zero.Object2, zero.Kind2, zero.SmallerAttrs = r.Cols.Names[j], r.Cols.Kinds[j], min(a1, r.Cols.Attrs[j])
+					out[at] = zero
+					at++
+				}
+			}
+		}
+	}
+	if len(out) >= parallelPairs {
+		forRowRanges(nr, fill)
+	} else {
+		fill(0, nr)
+	}
 	return out
 }
 
@@ -421,7 +473,7 @@ func (e *Engine) RelationshipMatrix(s1, s2 *ecr.Schema) *equivalence.Matrix {
 
 func (e *Engine) matrix(s1, s2 *ecr.Schema, rel bool) *equivalence.Matrix {
 	g := e.newGrid(s1, s2, rel)
-	nr, nc := len(g.rows.names), len(g.cols.names)
+	nr, nc := len(g.rows.Names), len(g.cols.Names)
 	back := make([]int, nr*nc)
 	convert := func(lo, hi int) {
 		for i := lo * nc; i < hi*nc; i++ {
@@ -438,8 +490,8 @@ func (e *Engine) matrix(s1, s2 *ecr.Schema, rel bool) *equivalence.Matrix {
 		counts[i] = back[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	return &equivalence.Matrix{
-		Schema1: g.rows.schema, Schema2: g.cols.schema,
-		Rows: g.rows.names, Cols: g.cols.names,
+		Schema1: g.rows.Schema, Schema2: g.cols.Schema,
+		Rows: g.rows.Names, Cols: g.cols.Names,
 		Counts: counts,
 	}
 }
